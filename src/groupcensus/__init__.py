@@ -24,8 +24,7 @@ from .groups import (AutomorphismAction, GroupConstructionError, GroupTable,
                      element_order, from_permutations, generated_subgroup,
                      inversion_action, make_alternating, make_cyclic,
                      make_dicyclic, make_dihedral, make_quasidihedral,
-                     make_symmetric, regular_representation,
-                     semidirect_product, trivial_action)
+                     make_symmetric, semidirect_product)
 from .isomorphism import (UnsupportedOrderError, center, conjugacy_classes,
                           derived_subgroup, extend_generator_map,
                           generating_set, is_isomorphic)
@@ -54,7 +53,6 @@ __all__ = [
     "is_isomorphic", "known_groups_for", "load_catalog", "make_alternating",
     "make_cyclic", "make_dicyclic", "make_dihedral", "make_quasidihedral",
     "make_symmetric", "parse_group", "phi_inverse", "property_suite",
-    "regular_representation", "revised_table", "rule_registry",
-    "semidirect_product", "theorem_claims", "trivial_action", "verify_all",
-    "verify_theorem",
+    "revised_table", "rule_registry", "semidirect_product", "theorem_claims",
+    "verify_all", "verify_theorem",
 ]

@@ -63,14 +63,10 @@ def _parse_line(line: str, lineno: int) -> CatalogEntry:
         index = int(parts[1])
     except ValueError as err:
         raise CatalogError(f"line {lineno}: bad order/index: {err}") from None
-    gens_text = parts[3][len("gens="):].strip()
-    chunks = [c.strip() for c in gens_text.split(";") if c.strip()]
-    if not chunks:
+    gens = Permutation.from_generator_text(parts[3][len("gens="):])
+    if not gens:
         raise CatalogError(f"line {lineno}: no generators given")
-    perms = [Permutation.from_cycles(c) for c in chunks]
-    degree = max(p.degree for p in perms)
-    return CatalogEntry(order, index, parts[2],
-                        tuple(p.extended(degree) for p in perms))
+    return CatalogEntry(order, index, parts[2], gens)
 
 
 @lru_cache(maxsize=1)

@@ -9,10 +9,11 @@ subgroups never contribute to delta.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .groups import GroupTable, SubgroupSet
+from .groups import GroupConstructionError, GroupTable, SubgroupSet
 
 
 def euler_phi(d: int) -> int:
@@ -109,7 +110,11 @@ class CensusReport:
 
 
 def cyclic_subgroups(g: GroupTable) -> set[SubgroupSet]:
-    """The set {<x> : x in G}, deduplicated by member set."""
+    """The set {<x> : x in G}, deduplicated by member set.
+
+    ``census`` counts the same subgroups from the element-order histogram;
+    this set-based construction stays as the independent reference.
+    """
     found: set[tuple[int, ...]] = set()
     for x in range(g.order):
         members = [0]
@@ -122,21 +127,25 @@ def cyclic_subgroups(g: GroupTable) -> set[SubgroupSet]:
 
 
 def census(g: GroupTable) -> CensusReport:
-    """Full cyclic-subgroup census of a group table."""
-    counts: dict[int, int] = {}
-    for sub in cyclic_subgroups(g):
-        counts[sub.order] = counts.get(sub.order, 0) + 1
-    n_d = tuple(sorted(counts.items()))
-    total = sum(counts.values())
-    delta = g.order - total
+    """Full cyclic-subgroup census of a group table.
+
+    A cyclic subgroup of order d has exactly phi(d) generators, so n_d is
+    the number of elements of order d divided by phi(d).  The division must
+    be exact in any group; a remainder means the table is not one.
+    """
+    counts = Counter(g.element_orders())
+    n_d = []
+    for d in sorted(counts):
+        phi = euler_phi(d)
+        if counts[d] % phi:
+            raise GroupConstructionError(
+                f"{g.name} is not a group: it has {counts[d]} elements of"
+                f" order {d}, not a multiple of phi({d}) = {phi}")
+        n_d.append((d, counts[d] // phi))
+    total = sum(count for _d, count in n_d)
     sigma = Signature.from_iterable(
         d for d, count in n_d for _ in range(count) if d > 2)
-    report = CensusReport(g.order, n_d, total, delta, sigma)
-    # the two totient identities are structural; recheck them on every census
-    assert sum(count * euler_phi(d) for d, count in n_d) == g.order
-    assert sum(count * (euler_phi(d) - 1) for d, count in n_d) == delta
-    assert sigma.delta == delta
-    return report
+    return CensusReport(g.order, tuple(n_d), total, g.order - total, sigma)
 
 
 def count_solutions(g: GroupTable, n: int) -> int:

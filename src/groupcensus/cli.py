@@ -15,9 +15,9 @@ from typing import Sequence
 from .candidates import Candidate, enumerate_candidates, integer_partitions
 from .catalog import MAX_CATALOG_ORDER, catalog_search, catalog_validate
 from .census import Signature, census
-from .exclusion import apply_rules, revised_table
+from .exclusion import apply_rules
 from .expressions import GroupExpressionError, parse_group
-from .verify import explore, known_groups_for, property_suite, verify_all, verify_theorem
+from .verify import explore, known_groups_for, verify_all, verify_theorem
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -25,10 +25,6 @@ VERIFICATION_FAILURE = 1
 
 def _sig_str(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(e) for e in entries) + ")"
-
-
-def _partition_str(partition: Sequence[int]) -> str:
-    return "+".join(str(p) for p in partition)
 
 
 def _emit(stream, text: str) -> None:
@@ -63,13 +59,31 @@ def _cmd_analyze(args, out) -> int:
 # candidates
 
 
-def _rows_by_partition(delta: int, cands: list[Candidate]):
+def _partition_rows(delta: int, cands: list[Candidate]) -> list[tuple[str, str]]:
+    """(partition, its signatures) as text, for every partition of delta."""
     by_partition: dict[tuple[int, ...], list[Signature]] = {
         p: [] for p in integer_partitions(delta)}
     for cand in cands:
         for row in cand.rows:
             by_partition[row.partition].append(cand.signature)
-    return by_partition
+    return [("+".join(str(part) for part in p),
+             ", ".join(_sig_str(s.entries) for s in sorted(sigs)) or "none")
+            for p, sigs in by_partition.items()]
+
+
+def _emit_partition_latex(out, delta: int, cands: list[Candidate]) -> None:
+    _emit(out, "\\begin{table}[ht]")
+    _emit(out, f"\\caption{{Table for $\\Delta(G)={delta}$}}")
+    _emit(out, "\\centering")
+    _emit(out, "\\begin{tabular}{|c|c|}")
+    _emit(out, "\\hline")
+    _emit(out, "Partition & $\\sigma(G)$ \\\\")
+    _emit(out, "\\hline")
+    for partition, body in _partition_rows(delta, cands):
+        _emit(out, f"{partition} & {body} \\\\")
+        _emit(out, "\\hline")
+    _emit(out, "\\end{tabular}")
+    _emit(out, "\\end{table}")
 
 
 def _cmd_candidates(args, out) -> int:
@@ -90,26 +104,12 @@ def _cmd_candidates(args, out) -> int:
         }
         _emit(out, json.dumps(payload, indent=2))
         return 0
-    by_partition = _rows_by_partition(args.delta, cands)
     if args.format == "latex":
-        _emit(out, "\\begin{table}[ht]")
-        _emit(out, f"\\caption{{Table for $\\Delta(G)={args.delta}$}}")
-        _emit(out, "\\centering")
-        _emit(out, "\\begin{tabular}{|c|c|}")
-        _emit(out, "\\hline")
-        _emit(out, "Partition & $\\sigma(G)$ \\\\")
-        _emit(out, "\\hline")
-        for partition, sigs in by_partition.items():
-            body = ", ".join(_sig_str(s.entries) for s in sorted(sigs)) or "none"
-            _emit(out, f"{_partition_str(partition)} & {body} \\\\")
-            _emit(out, "\\hline")
-        _emit(out, "\\end{tabular}")
-        _emit(out, "\\end{table}")
+        _emit_partition_latex(out, args.delta, cands)
         return 0
     _emit(out, f"candidate signatures for delta = {args.delta}: {len(cands)}")
-    for partition, sigs in by_partition.items():
-        body = ", ".join(_sig_str(s.entries) for s in sorted(sigs)) or "none"
-        _emit(out, f"  {_partition_str(partition):<12} {body}")
+    for partition, body in _partition_rows(args.delta, cands):
+        _emit(out, f"  {partition:<12} {body}")
     return 0
 
 
@@ -139,19 +139,7 @@ def _cmd_exclude(args, out) -> int:
         _emit(out, json.dumps(payload, indent=2))
         return 0
     if args.format == "latex":
-        _emit(out, "\\begin{table}[ht]")
-        _emit(out, f"\\caption{{Table for $\\Delta(G)={args.delta}$}}")
-        _emit(out, "\\centering")
-        _emit(out, "\\begin{tabular}{|c|c|}")
-        _emit(out, "\\hline")
-        _emit(out, "Partition & $\\sigma(G)$ \\\\")
-        _emit(out, "\\hline")
-        for partition, sigs in _rows_by_partition(args.delta, cands).items():
-            body = ", ".join(_sig_str(s.entries) for s in sorted(sigs)) or "none"
-            _emit(out, f"{_partition_str(partition)} & {body} \\\\")
-            _emit(out, "\\hline")
-        _emit(out, "\\end{tabular}")
-        _emit(out, "\\end{table}")
+        _emit_partition_latex(out, args.delta, cands)
         _emit(out, "\\begin{table}[ht]")
         _emit(out, f"\\caption{{Exclusion table for $\\Delta(G)={args.delta}$}}")
         _emit(out, "\\centering")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .candidates import enumerate_candidates
-from .census import Signature
+from .census import Signature, euler_phi
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def _sylow_count(sig: Signature) -> bool:
     # an odd prime p dividing an entry divides |G|, and then the number of
     # subgroups of order p is 1 mod p (Frobenius' refinement of Sylow)
     primes = {p for m in sig.entries for p in _divisors_over_2(m)
-              if p % 2 and all(p % q for q in range(3, p, 2))}
+              if euler_phi(p) == p - 1}
     return any(sig.multiplicity(p) % p != 1 for p in primes)
 
 

@@ -107,11 +107,8 @@ class _Parser:
             raise self.error("unterminated perm[...]")
         body = self.text[self.pos:end]
         self.pos = end + 1
-        chunks = [c.strip() for c in body.split(";")]
         try:
-            parsed = [Permutation.from_cycles(c) for c in chunks if c]
-            degree = max((p.degree for p in parsed), default=1)
-            gens = [p.extended(degree) for p in parsed]
+            gens = Permutation.from_generator_text(body)
             return from_permutations(gens, name="perm")
         except ValueError as err:
             raise self.error(str(err)) from None

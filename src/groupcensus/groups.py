@@ -9,10 +9,9 @@ turns subtle construction bugs into immediate errors.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 MAX_ORDER = 64
 
@@ -72,6 +71,17 @@ class Permutation:
                     raise ValueError(f"point {p} appears in two cycles")
                 images[p] = cycle[(i + 1) % len(cycle)]
         return cls(tuple(images))
+
+    @classmethod
+    def from_generator_text(cls, text: str) -> tuple["Permutation", ...]:
+        """Parse ``;``-separated cycle strings, extended to a common degree.
+
+        Empty chunks are skipped, so a blank text gives no generators.
+        """
+        chunks = [c.strip() for c in text.split(";")]
+        perms = [cls.from_cycles(c) for c in chunks if c]
+        degree = max((p.degree for p in perms), default=1)
+        return tuple(p.extended(degree) for p in perms)
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -152,12 +162,6 @@ class GroupTable:
         self.name = name
         self._orders: tuple[int, ...] | None = None
         self._abelian: bool | None = None
-
-    def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -270,11 +274,6 @@ def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
                 members.add(t)
                 frontier.append(t)
     return SubgroupSet(g, tuple(sorted(members)))
-
-
-def regular_representation(g: GroupTable) -> list[Permutation]:
-    """Left-multiplication permutations of every element (rows of the table)."""
-    return [Permutation(tuple(row)) for row in g.product]
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +405,25 @@ def from_permutations(gens: Sequence[Permutation], name: str = "G") -> GroupTabl
     degree = gens[0].degree
     if any(p.degree != degree for p in gens):
         raise ValueError("all generators must share a degree")
-    ident = Permutation.identity(degree)
+    # close over raw image tuples; q = tuple(e[i] for i in p) is e.compose(p)
+    images = [p.images for p in gens]
+    ident = tuple(range(degree))
     elements = [ident]
-    index = {ident.images: 0}
+    index = {ident: 0}
     cursor = 0
     while cursor < len(elements):
         e = elements[cursor]
         cursor += 1
-        for p in gens:
-            q = e.compose(p)
-            if q.images not in index:
+        for p in images:
+            q = tuple(e[i] for i in p)
+            if q not in index:
                 if len(elements) >= MAX_ORDER:
                     raise ValueError(
                         f"closure exceeds {MAX_ORDER} elements"
                         f" (at least {len(elements) + 1} found)")
-                index[q.images] = len(elements)
+                index[q] = len(elements)
                 elements.append(q)
-    n = len(elements)
-    rows = [[index[elements[i].compose(elements[j]).images] for j in range(n)]
-            for i in range(n)]
+    rows = [[index[tuple(a[i] for i in b)] for b in elements] for a in elements]
     return GroupTable(rows, name=name)
 
 
@@ -474,14 +473,6 @@ class AutomorphismAction:
                     raise InvalidActionError(
                         f"maps do not define a homomorphism:"
                         f" map[{k1}*{k2}] != map[{k1}] o map[{k2}]")
-
-    def apply(self, h: int, x: int) -> int:
-        return self.maps[h](x)
-
-
-def trivial_action(target: GroupTable, acting: GroupTable) -> AutomorphismAction:
-    ident = Permutation.identity(target.order)
-    return AutomorphismAction(acting, target, (ident,) * acting.order)
 
 
 def inversion_action(a: GroupTable) -> AutomorphismAction:

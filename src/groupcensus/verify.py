@@ -15,13 +15,14 @@ from typing import Callable
 
 from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
                       catalog_validate)
-from .census import CensusReport, Signature, census, count_solutions
+from .census import (CensusReport, Signature, census, count_solutions,
+                     euler_phi)
 from .exclusion import apply_rules, revised_table
-from .groups import (GroupTable, Permutation, action_from_generator_images,
-                     direct_product, element_order, generated_subgroup,
-                     inversion_action, make_alternating, make_cyclic,
-                     make_dicyclic, make_dihedral, make_quasidihedral,
-                     make_symmetric, semidirect_product)
+from .groups import (GroupTable, InvalidActionError, Permutation,
+                     action_from_generator_images, direct_product,
+                     generated_subgroup, inversion_action, make_alternating,
+                     make_cyclic, make_dicyclic, make_dihedral,
+                     make_quasidihedral, make_symmetric, semidirect_product)
 from .isomorphism import extend_generator_map, is_isomorphic
 from .report import CheckResult, ClaimResult, VerificationReport
 
@@ -58,7 +59,9 @@ def _q8_by_c2() -> GroupTable:
     q8 = make_dicyclic(8)
     # q8 indices: a^i = i, b a^i = 4 + i; so a = 1, b = 4, a^2 b = 6
     images = extend_generator_map(q8, q8, {1: 1, 4: 6})
-    assert images is not None
+    if images is None:
+        raise InvalidActionError(
+            "a -> a, b -> a^2 b does not extend to an automorphism of Q8")
     action = action_from_generator_images(
         make_cyclic(2), q8, {1: Permutation(tuple(images))})
     return semidirect_product(q8, make_cyclic(2), action).renamed("Q8:C2")
@@ -136,10 +139,6 @@ def theorem_claims() -> list[TheoremClaim]:
     ]
 
 
-def _is_odd_prime(n: int) -> bool:
-    return n > 2 and n % 2 == 1 and all(n % q for q in range(3, n, 2))
-
-
 def known_groups_for(sig: Signature) -> list[GroupRecipe] | None:
     """Every isomorphism type proven to realize a signature, or None.
 
@@ -149,20 +148,13 @@ def known_groups_for(sig: Signature) -> list[GroupRecipe] | None:
     None means the signature carries no completeness proof here.
     """
     entries = sig.entries
-    if len(entries) == 1:
-        a = entries[0]
-        if a == 4 or _is_odd_prime(a):
+    if len(entries) in (1, 2) and entries[-1] == len(entries) * entries[0]:
+        # entries exceed 2, so phi(a) = a - 1 means a is an odd prime
+        a, m = entries[0], entries[-1]
+        if a == 4 or euler_phi(a) == a - 1:
             return [
-                _recipe(f"C{a}", lambda: make_cyclic(a), a),
-                _recipe(f"D{2 * a}", lambda: make_dihedral(2 * a), a),
-            ]
-        return None
-    if len(entries) == 2 and entries[1] == 2 * entries[0]:
-        a = entries[0]
-        if a == 4 or _is_odd_prime(a):
-            return [
-                _recipe(f"C{2 * a}", lambda: make_cyclic(2 * a), a, 2 * a),
-                _recipe(f"D{4 * a}", lambda: make_dihedral(4 * a), a, 2 * a),
+                _recipe(f"C{m}", lambda: make_cyclic(m), *entries),
+                _recipe(f"D{2 * m}", lambda: make_dihedral(2 * m), *entries),
             ]
         return None
     by_sigma: dict[tuple[int, ...], list[GroupRecipe]] = {}

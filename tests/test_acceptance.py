@@ -188,11 +188,3 @@ def test_acceptance_8_stated_signature_at_delta_6():
     assert sig.entries not in {s.signature.entries for s in at_6}
     for s in at_6:
         assert Signature(s.signature.entries).delta == 6, s.signature
-
-
-def test_stated_signature_lives_at_delta_7():
-    sig = Signature.of(3, 3, 3, 3, 6, 6, 6)
-    survivors = {s.signature.entries: s for s in explore(7)}
-    assert sig.entries in survivors
-    assert any(e.label == "C3xS3" and r.delta == 7
-               for e, r in survivors[sig.entries].witnesses)

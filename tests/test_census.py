@@ -1,8 +1,9 @@
 """Census invariants, totient machinery and solution counting.
 
-Census counts are cross-checked against an independent oracle: the number
-of cyclic subgroups of order d equals (#elements of order d) / phi(d),
-which never looks at subgroup sets.
+``census`` reads n_d off the element-order histogram: the number of cyclic
+subgroups of order d is (#elements of order d) / phi(d).  Its counts are
+cross-checked against an independent oracle, the set-based
+``cyclic_subgroups``, which builds every <x> and deduplicates by members.
 """
 
 import math
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcensus import (CensusReport, Signature, census, count_solutions,
-                         cyclic_subgroups, direct_product, euler_phi,
-                         make_cyclic, make_dicyclic, make_dihedral,
-                         make_symmetric, phi_inverse)
+from groupcensus import (CensusReport, GroupConstructionError, GroupTable,
+                         Signature, census, count_solutions, cyclic_subgroups,
+                         direct_product, euler_phi, make_cyclic, make_dicyclic,
+                         make_dihedral, make_quasidihedral, make_symmetric,
+                         phi_inverse)
 
 
 def phi_oracle(n):
@@ -23,9 +25,8 @@ def phi_oracle(n):
 
 
 def census_oracle(g):
-    """n_d from the element-order histogram alone."""
-    hist = Counter(g.element_orders())
-    return {d: count // phi_oracle(d) for d, count in sorted(hist.items())}
+    """n_d from the set of cyclic subgroups, never from element orders."""
+    return dict(Counter(s.order for s in cyclic_subgroups(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +104,22 @@ def test_census_known_reports():
 @pytest.mark.parametrize("g", [
     make_cyclic(24), make_dihedral(20), make_dicyclic(16),
     make_symmetric(4), direct_product(make_dihedral(8), make_cyclic(2)),
+    make_cyclic(64), make_dihedral(64), make_dicyclic(64),
+    make_quasidihedral(64),
 ], ids=lambda g: g.name)
 def test_census_matches_histogram_oracle(g):
     report = census(g)
     assert dict(report.n_d) == census_oracle(g)
+
+
+def test_census_rejects_a_latin_square_that_is_not_a_group():
+    # a loop with identity 0: one element of order 2 and three of order 3,
+    # and 3 is not a multiple of phi(3) = 2
+    square = GroupTable([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                         [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]], validate=False)
+    assert sorted(square.element_orders()) == [1, 2, 3, 3, 3]
+    with pytest.raises(GroupConstructionError, match=r"phi\(3\) = 2"):
+        census(square)
 
 
 def test_census_identities_on_catalog(catalog):

@@ -3,17 +3,18 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcensus import (GroupConstructionError, GroupTable,
+from groupcensus import (MAX_ORDER, AutomorphismAction,
+                         GroupConstructionError, GroupTable,
                          InvalidActionError, Permutation, census,
-                         direct_product, element_order, from_permutations,
-                         generated_subgroup, inversion_action, is_isomorphic,
-                         make_alternating, make_cyclic, make_dicyclic,
-                         make_dihedral, make_quasidihedral, make_symmetric,
-                         regular_representation, semidirect_product,
-                         trivial_action)
+                         cyclic_subgroups, direct_product, element_order,
+                         from_permutations, generated_subgroup,
+                         inversion_action, is_isomorphic, make_alternating,
+                         make_cyclic, make_dicyclic, make_dihedral,
+                         make_quasidihedral, make_symmetric,
+                         semidirect_product)
 
 
 def order_histogram(g):
@@ -139,7 +140,8 @@ def test_direct_product():
 
 def test_trivial_semidirect_equals_direct():
     a, b = make_dihedral(8), make_cyclic(4)
-    semi = semidirect_product(a, b, trivial_action(a, b))
+    trivial = AutomorphismAction(b, a, (Permutation.identity(a.order),) * b.order)
+    semi = semidirect_product(a, b, trivial)
     direct = direct_product(a, b)
     assert semi.product == direct.product
     assert is_isomorphic(semi, direct)
@@ -164,7 +166,6 @@ def test_inversion_action_rejects_nonabelian():
 def test_invalid_action_reports_failure():
     c4 = make_cyclic(4)
     # x -> x + 1 fixes nothing: not an automorphism
-    from groupcensus import AutomorphismAction
     shift = Permutation((1, 2, 3, 0))
     with pytest.raises(InvalidActionError, match="identity"):
         AutomorphismAction(make_cyclic(2), c4,
@@ -219,9 +220,55 @@ def test_from_permutations_mixed_degrees():
                            Permutation.from_cycles("(0 1 2)")])
 
 
+def closure_oracle(gens):
+    """Breadth-first closure by Permutation.compose; None past MAX_ORDER."""
+    elements = [Permutation.identity(gens[0].degree)]
+    index = {elements[0]: 0}
+    for e in elements:  # grows while iterating: breadth-first order
+        for p in gens:
+            q = e.compose(p)
+            if q not in index:
+                if len(elements) == MAX_ORDER:
+                    return None
+                index[q] = len(elements)
+                elements.append(q)
+    return [bytes(index[a.compose(b)] for b in elements) for a in elements]
+
+
+@st.composite
+def block_generators(draw):
+    """1..3 permutations, each acting on the blocks 0..a-1 and a..a+b-1.
+
+    They generate subgroups of S_a x S_b, so closures of up to 64 elements
+    are common and larger ones (up to 576) also occur.
+    """
+    a = draw(st.integers(min_value=1, max_value=4))
+    b = draw(st.integers(min_value=1, max_value=4))
+    block = st.tuples(st.permutations(range(a)),
+                      st.permutations(range(a, a + b)))
+    pairs = draw(st.lists(block, min_size=1, max_size=3))
+    return [Permutation(tuple(x) + tuple(y)) for x, y in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_generators())
+def test_closure_and_census_match_oracles(gens):
+    rows = closure_oracle(gens)
+    if rows is None:
+        with pytest.raises(ValueError, match="closure exceeds"):
+            from_permutations(gens)
+        return
+    g = from_permutations(gens)
+    assert g.product == tuple(rows)
+    subgroups = Counter(s.order for s in cyclic_subgroups(g))
+    assert dict(census(g).n_d) == dict(subgroups)
+
+
 @pytest.mark.parametrize("g", SAMPLE_GROUPS, ids=lambda g: g.name)
 def test_regular_representation_roundtrip(g):
-    assert is_isomorphic(from_permutations(regular_representation(g)), g)
+    # the rows of the table are the left-multiplication permutations
+    regular = [Permutation(tuple(row)) for row in g.product]
+    assert is_isomorphic(from_permutations(regular), g)
 
 
 # ---------------------------------------------------------------------------
