@@ -27,7 +27,8 @@ from .groups import (AutomorphismAction, GroupConstructionError, GroupTable,
                      make_symmetric, semidirect_product)
 from .isomorphism import (UnsupportedOrderError, center, conjugacy_classes,
                           derived_subgroup, extend_generator_map,
-                          generating_set, is_isomorphic)
+                          generating_set, is_isomorphic,
+                          isomorphism_classes)
 from .report import CheckResult, ClaimResult, VerificationReport
 from .verify import (GroupRecipe, SurvivorReport, TheoremClaim, explore,
                      known_groups_for, property_suite, theorem_claims,
@@ -50,9 +51,9 @@ __all__ = [
     "enumerate_candidates", "euler_phi", "expand_part", "explore",
     "extend_generator_map", "from_permutations", "generated_subgroup",
     "generating_set", "integer_partitions", "inversion_action",
-    "is_isomorphic", "known_groups_for", "load_catalog", "make_alternating",
-    "make_cyclic", "make_dicyclic", "make_dihedral", "make_quasidihedral",
-    "make_symmetric", "parse_group", "phi_inverse", "property_suite",
-    "revised_table", "rule_registry", "semidirect_product", "theorem_claims",
-    "verify_all", "verify_theorem",
+    "is_isomorphic", "isomorphism_classes", "known_groups_for",
+    "load_catalog", "make_alternating", "make_cyclic", "make_dicyclic",
+    "make_dihedral", "make_quasidihedral", "make_symmetric", "parse_group",
+    "phi_inverse", "property_suite", "revised_table", "rule_registry",
+    "semidirect_product", "theorem_claims", "verify_all", "verify_theorem",
 ]

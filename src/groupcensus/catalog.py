@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 
 from .census import CensusReport, Signature, census
 from .groups import GroupTable, Permutation, from_permutations
-from .isomorphism import is_isomorphic
+from .isomorphism import isomorphism_classes
 from .report import CheckResult, VerificationReport
 
 MAX_CATALOG_ORDER = 24
@@ -154,14 +155,14 @@ def catalog_validate() -> VerificationReport:
 
     distinct_ok = True
     for order, members in sorted(by_order.items()):
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if is_isomorphic(members[i][1], members[j][1]):
-                    distinct_ok = False
-                    checks.append(CheckResult(
-                        f"duplicate_order_{order}", False,
-                        f"{members[i][0].label} and {members[j][0].label}"
-                        f" are isomorphic"))
+        keys = isomorphism_classes([table for _entry, table in members])
+        for i, j in combinations(range(len(members)), 2):
+            if keys[i] == keys[j]:
+                distinct_ok = False
+                checks.append(CheckResult(
+                    f"duplicate_order_{order}", False,
+                    f"{members[i][0].label} and {members[j][0].label}"
+                    f" are isomorphic"))
     checks.append(CheckResult(
         "pairwise_distinct", distinct_ok,
         "entries of equal order are pairwise non-isomorphic" if distinct_ok

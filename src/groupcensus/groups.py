@@ -145,7 +145,8 @@ class GroupTable:
     ``inverse[x]`` is the unique y with x*y = 0.
     """
 
-    __slots__ = ("order", "product", "inverse", "name", "_orders", "_abelian")
+    __slots__ = ("order", "product", "inverse", "name", "_orders", "_abelian",
+                 "_profile")
 
     def __init__(self, product: Sequence[Sequence[int]], name: str = "G",
                  validate: bool = True):
@@ -162,6 +163,8 @@ class GroupTable:
         self.name = name
         self._orders: tuple[int, ...] | None = None
         self._abelian: bool | None = None
+        # isomorphism invariants, filled in by isomorphism._profile
+        self._profile: tuple | None = None
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -181,15 +184,27 @@ class GroupTable:
         return self._abelian
 
     def element_orders(self) -> tuple[int, ...]:
-        """Order of every element, indexed by element."""
+        """Order of every element, indexed by element.
+
+        Raises GroupConstructionError when some element's powers do not
+        reach 0 within ``order`` steps, which only an unvalidated table that
+        is not a group can do.
+        """
         if self._orders is None:
-            orders = []
-            for x in range(self.order):
-                k, acc = 1, x
-                while acc != 0:
-                    acc = self.product[acc][x]
-                    k += 1
-                orders.append(k)
+            product = self.product
+            steps = range(2, self.order + 1)
+            orders = [1]
+            for x in range(1, self.order):
+                acc = x
+                for k in steps:
+                    acc = product[acc][x]
+                    if acc == 0:
+                        orders.append(k)
+                        break
+                else:
+                    raise GroupConstructionError(
+                        f"{self.name} is not a group: the powers of element"
+                        f" {x} do not reach 0 within {self.order} steps")
             self._orders = tuple(orders)
         return self._orders
 
@@ -201,6 +216,7 @@ class GroupTable:
         clone.name = name
         clone._orders = self._orders
         clone._abelian = self._abelian
+        clone._profile = self._profile
         return clone
 
     def __repr__(self) -> str:
@@ -214,8 +230,7 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
             raise GroupConstructionError(f"row {x} has length {len(row)}, expected {n}")
         if bytes(sorted(row)) != sorted_ident:
             raise GroupConstructionError(f"row {x} is not a permutation of 0..{n - 1}")
-    for y in range(n):
-        col = bytes(rows[x][y] for x in range(n))
+    for y, col in enumerate(zip(*rows)):
         if bytes(sorted(col)) != sorted_ident:
             raise GroupConstructionError(f"column {y} is not a permutation of 0..{n - 1}")
     if rows[0] != sorted_ident or any(rows[x][0] != x for x in range(n)):
@@ -405,26 +420,39 @@ def from_permutations(gens: Sequence[Permutation], name: str = "G") -> GroupTabl
     degree = gens[0].degree
     if any(p.degree != degree for p in gens):
         raise ValueError("all generators must share a degree")
-    # close over raw image tuples; q = tuple(e[i] for i in p) is e.compose(p)
+    # close over raw image tuples; q = tuple(e[i] for i in p) is e.compose(p).
+    # The closure is the right Cayley graph: right[k][e] is the index of
+    # e.g_k, and every element b > 0 was first reached as parent[b].g_via[b].
     images = [p.images for p in gens]
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
-    cursor = 0
-    while cursor < len(elements):
-        e = elements[cursor]
-        cursor += 1
-        for p in images:
+    right: list[list[int]] = [[] for _ in images]
+    parent, via = [0], [0]
+    for cursor, e in enumerate(elements):  # grows while it is walked
+        for k, p in enumerate(images):
             q = tuple(e[i] for i in p)
-            if q not in index:
-                if len(elements) >= MAX_ORDER:
+            j = index.get(q)
+            if j is None:
+                j = len(elements)
+                if j >= MAX_ORDER:
                     raise ValueError(
                         f"closure exceeds {MAX_ORDER} elements"
-                        f" (at least {len(elements) + 1} found)")
-                index[q] = len(elements)
+                        f" (at least {j + 1} found)")
+                index[q] = j
                 elements.append(q)
-    rows = [[index[tuple(a[i] for i in b)] for b in elements] for a in elements]
-    return GroupTable(rows, name=name)
+                parent.append(cursor)
+                via.append(k)
+            right[k].append(j)
+    # a.b = (a.parent[b]).g_via[b], so column b of the table is column
+    # parent[b] mapped through right[via[b]]; parents precede children
+    n = len(elements)
+    pad = bytes(256 - n)
+    maps = [bytes(r) + pad for r in right]
+    columns = [bytes(range(n))]
+    for b in range(1, n):
+        columns.append(columns[parent[b]].translate(maps[via[b]]))
+    return GroupTable(list(zip(*columns)), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ into the other, pruned by per-element invariants.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
 from .groups import GroupTable, generated_subgroup
 
@@ -105,10 +106,13 @@ def extend_generator_map(src: GroupTable, dst: GroupTable,
 
 
 def _profile(g: GroupTable) -> tuple:
-    hist = tuple(sorted(Counter(g.element_orders()).items()))
-    class_sizes = tuple(sorted(len(c) for c in conjugacy_classes(g)))
-    return (g.order, g.is_abelian, hist, len(center(g)),
-            len(derived_subgroup(g)), class_sizes)
+    """Isomorphism invariants of g, computed once and cached on the table."""
+    if g._profile is None:
+        hist = tuple(sorted(Counter(g.element_orders()).items()))
+        class_sizes = tuple(sorted(len(c) for c in conjugacy_classes(g)))
+        g._profile = (g.order, g.is_abelian, hist, len(center(g)),
+                      len(derived_subgroup(g)), class_sizes)
+    return g._profile
 
 
 def _element_keys(g: GroupTable) -> list[tuple[int, int]]:
@@ -158,3 +162,32 @@ def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
         return False
 
     return search(0, {})
+
+
+def isomorphism_classes(tables: Sequence[GroupTable]) -> list[int]:
+    """The isomorphism class of every table, numbered by first appearance.
+
+    ``keys[i] == keys[j]`` exactly when tables i and j are isomorphic.
+    Tables are bucketed by their cached invariants; only inside a bucket
+    is a table searched against each class representative, once.  Orders
+    beyond the supported bound raise UnsupportedOrderError, as in
+    ``is_isomorphic``.
+    """
+    for table in tables:
+        if table.order > ISOMORPHISM_ORDER_BOUND:
+            raise UnsupportedOrderError(
+                f"isomorphism testing supports orders up to"
+                f" {ISOMORPHISM_ORDER_BOUND}, got {table.order}")
+    buckets: dict[tuple, list[int]] = {}  # profile -> class representatives
+    keys: list[int] = []
+    classes = 0
+    for i, table in enumerate(tables):
+        reps = buckets.setdefault(_profile(table), [])
+        key = next((keys[r] for r in reps if is_isomorphic(tables[r], table)),
+                   None)
+        if key is None:
+            key = classes
+            classes += 1
+            reps.append(i)
+        keys.append(key)
+    return keys

@@ -11,6 +11,8 @@ structural facts the classification arguments lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
 from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
@@ -23,7 +25,7 @@ from .groups import (GroupTable, InvalidActionError, Permutation,
                      generated_subgroup, inversion_action, make_alternating,
                      make_cyclic, make_dicyclic, make_dihedral,
                      make_quasidihedral, make_symmetric, semidirect_product)
-from .isomorphism import extend_generator_map, is_isomorphic
+from .isomorphism import extend_generator_map, isomorphism_classes
 from .report import CheckResult, ClaimResult, VerificationReport
 
 
@@ -157,11 +159,17 @@ def known_groups_for(sig: Signature) -> list[GroupRecipe] | None:
                 _recipe(f"D{2 * m}", lambda: make_dihedral(2 * m), *entries),
             ]
         return None
+    known = _claims_by_sigma().get(entries)
+    return list(known) if known is not None else None
+
+
+@lru_cache(maxsize=1)
+def _claims_by_sigma() -> dict[tuple[int, ...], tuple[GroupRecipe, ...]]:
     by_sigma: dict[tuple[int, ...], list[GroupRecipe]] = {}
     for claim in theorem_claims():
         for recipe in claim.groups:
             by_sigma.setdefault(recipe.expected_sigma.entries, []).append(recipe)
-    return by_sigma.get(entries)
+    return {sigma: tuple(recipes) for sigma, recipes in by_sigma.items()}
 
 
 def verify_theorem(delta: int) -> VerificationReport:
@@ -204,39 +212,41 @@ def verify_theorem(delta: int) -> VerificationReport:
         f"claimed {sorted(str(s) for s in claimed_sigmas)}"
         f" vs revised {sorted(str(s) for s in revised)}"))
 
+    # one classification serves claim distinctness and the catalog sweep
+    hits = [(entry, table) for entry, table, rep in catalog_tables()
+            if rep.delta == delta]
+    keys = isomorphism_classes([table for _recipe, table in built]
+                               + [table for _entry, table in hits])
+    claim_keys, hit_keys = keys[:len(built)], keys[len(built):]
+
     distinct = True
-    for i in range(len(built)):
-        for j in range(i + 1, len(built)):
-            if is_isomorphic(built[i][1], built[j][1]):
-                distinct = False
-                report.sweep.append(CheckResult(
-                    f"delta{delta}_claims_distinct", False,
-                    f"{built[i][0].label} is isomorphic to {built[j][0].label}"))
+    for i, j in combinations(range(len(built)), 2):
+        if claim_keys[i] == claim_keys[j]:
+            distinct = False
+            report.sweep.append(CheckResult(
+                f"delta{delta}_claims_distinct", False,
+                f"{built[i][0].label} is isomorphic to {built[j][0].label}"))
     if distinct:
         report.sweep.append(CheckResult(
             f"delta{delta}_claims_distinct", True,
             f"{len(built)} claimed groups pairwise non-isomorphic"))
 
-    hits = [(entry, table) for entry, table, rep in catalog_tables()
-            if rep.delta == delta]
-    small_claims = [(r, t) for r, t in built if t.order <= MAX_CATALOG_ORDER]
+    # each catalog hit uses up one claim of its isomorphism class
+    unused = [key for (_recipe, table), key in zip(built, claim_keys)
+              if table.order <= MAX_CATALOG_ORDER]
     matched = True
     detail = ""
-    if len(hits) != len(small_claims):
+    if len(hits) != len(unused):
         matched = False
         detail = (f"catalog has {len(hits)} groups with delta {delta},"
-                  f" claims of order <= {MAX_CATALOG_ORDER}: {len(small_claims)}")
+                  f" claims of order <= {MAX_CATALOG_ORDER}: {len(unused)}")
     else:
-        unused = list(small_claims)
-        for entry, table in hits:
-            found = next((pair for pair in unused
-                          if pair[1].order == table.order
-                          and is_isomorphic(pair[1], table)), None)
-            if found is None:
+        for (entry, _table), key in zip(hits, hit_keys):
+            if key not in unused:
                 matched = False
                 detail = f"catalog group {entry.label} matches no claimed group"
                 break
-            unused.remove(found)
+            unused.remove(key)
     report.sweep.append(CheckResult(
         f"delta{delta}_catalog_sweep", matched,
         detail or f"{len(hits)} catalog groups matched 1-1 to the claims"))
@@ -289,13 +299,17 @@ def _check_odd_4_count() -> CheckResult:
     # a 2-group with an odd number of cyclic subgroups of order 4 must be
     # cyclic, dihedral, generalized quaternion or quasidihedral
     witnesses = []
+    shapes_by_order: dict[int, list[GroupTable]] = {}
     for entry, table, rep in catalog_tables():
         if entry.order & (entry.order - 1) or entry.order > 16:
             continue
         if rep.count(4) % 2 == 0:
             continue
-        if not any(is_isomorphic(table, shape)
-                   for shape in _2_group_shapes(entry.order)):
+        shapes = shapes_by_order.get(entry.order)
+        if shapes is None:
+            shapes = shapes_by_order[entry.order] = _2_group_shapes(entry.order)
+        keys = isomorphism_classes([table, *shapes])
+        if keys[0] not in keys[1:]:
             return CheckResult(
                 "odd_4_count_2groups", False,
                 f"{entry.label} has {rep.count(4)} cyclic subgroups of"

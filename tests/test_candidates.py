@@ -1,11 +1,19 @@
 """Signature enumeration against the hand-tabulated candidate lists."""
 
+import json
+import pathlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcensus import (Signature, enumerate_candidates, euler_phi,
                          expand_part, integer_partitions)
+
+# enumerate_candidates and explore for delta = 6..16, captured from the
+# trial-division phi_inverse before its replacement
+PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "explore_6_16.json").read_text())
 
 # Complete candidate tables for delta = 1..5, transcribed by hand.
 TABLE_1 = {(3,), (4,), (6,)}
@@ -121,6 +129,14 @@ def test_expand_part_consistency(p):
                          [(1, 3), (2, 6), (3, 14), (4, 27), (5, 49)])
 def test_candidate_counts(delta, expected_count):
     assert len(enumerate_candidates(delta)) == expected_count
+
+
+def test_candidate_counts_pinned_up_to_16():
+    counts = {int(d): n for d, n in PINNED["candidate_counts"].items()}
+    assert [counts[d] for d in range(6, 17, 2)] == [
+        90, 260, 686, 1681, 3877, 8525]
+    for delta in range(6, 17):
+        assert len(enumerate_candidates(delta)) == counts[delta], delta
 
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5])

@@ -1,7 +1,9 @@
 """The bundled catalog: loading, validation and search."""
 
 import pytest
+from test_isomorphism import relabelled
 
+import groupcensus.catalog
 from groupcensus import (EXPECTED_GROUP_COUNTS, Signature, catalog_search,
                          catalog_validate, census, load_catalog)
 
@@ -33,6 +35,26 @@ def test_catalog_validate_passes():
     assert report.passed, report.failures()
     names = {c.name for c in report.sweep}
     assert {"catalog_load", "per_order_counts", "pairwise_distinct"} <= names
+
+
+def test_catalog_validate_reports_a_duplicate_twin(catalog, monkeypatch):
+    # C4:C4 replaced by a relabelled Q8xC2: same invariants as before, so
+    # only the search inside the bucket can expose the duplicate
+    by_label = {entry.label: i for i, (entry, _t, _r) in enumerate(catalog)}
+    q8xc2 = catalog[by_label["Q8xC2"]][1]
+    images = [0] + list(range(15, 0, -1))
+    entry, _table, census_report = catalog[by_label["C4:C4"]]
+    tampered = list(catalog)
+    tampered[by_label["C4:C4"]] = (entry, relabelled(q8xc2, images),
+                                   census_report)
+    monkeypatch.setattr(groupcensus.catalog, "catalog_tables",
+                        lambda: tampered)
+    report = catalog_validate()
+    assert not report.passed
+    failed = [(c.name, c.detail) for c in report.sweep if not c.passed]
+    assert failed == [
+        ("duplicate_order_16", "Q8xC2 and C4:C4 are isomorphic"),
+        ("pairwise_distinct", "duplicate isomorphism type found")]
 
 
 def test_search_elementary_abelian():

@@ -1,5 +1,8 @@
 """Group-table constructors and element-level operations."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -273,6 +276,23 @@ def test_regular_representation_roundtrip(g):
 
 # ---------------------------------------------------------------------------
 # element operations
+
+
+def test_element_orders_stop_when_powers_miss_the_identity():
+    # in this unvalidated table 1*1 = 2 and 2*1 = 2, so the powers of 1 never
+    # reach 0; run in a child process so that an endless loop fails the test
+    code = ("from groupcensus import GroupConstructionError, GroupTable, census\n"
+            "bad = GroupTable([[0, 1, 2], [1, 2, 0], [2, 2, 0]], validate=False)\n"
+            "try:\n"
+            "    census(bad)\n"
+            "except GroupConstructionError as err:\n"
+            "    print(err)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=20, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == ("G is not a group: the powers of element 1 do not"
+                            " reach 0 within 3 steps\n")
 
 
 def test_element_order():

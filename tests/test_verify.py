@@ -1,6 +1,7 @@
 """The classification claims, the exhaustive sweeps and the property suite."""
 
 import pytest
+from test_candidates import PINNED
 
 from groupcensus import (Signature, census, explore, is_isomorphic,
                          known_groups_for, property_suite, theorem_claims,
@@ -94,6 +95,14 @@ def test_known_groups_families():
     assert known_groups_for(Signature.of(6)) is None
 
 
+def test_known_groups_for_returns_a_fresh_list():
+    sig = Signature.of(4, 4, 4, 4)
+    first = known_groups_for(sig)
+    first.clear()
+    assert [r.label for r in known_groups_for(sig)] == [
+        "C4xC2xC2", "C2xC2xD8", "(C2xC2):C4", "Q8:C2"]
+
+
 def test_known_groups_realize_their_signature():
     for sig in (Signature.of(11, 22), Signature.of(4, 4), Signature.of(7)):
         for recipe in known_groups_for(sig):
@@ -121,6 +130,15 @@ def test_explore_delta_6(catalog):
     for entry, _table, report in catalog:
         if report.delta == 6:
             assert report.signature.entries in by_sig, entry.label
+
+
+@pytest.mark.parametrize("delta", range(6, 17))
+def test_explore_survivors_pinned(delta):
+    got = [[list(s.signature.entries),
+            list(s.known) if s.known is not None else None,
+            [entry.label for entry, _report in s.witnesses]]
+           for s in explore(delta)]
+    assert got == PINNED["survivors"][str(delta)]
 
 
 def test_explore_classified_range():
