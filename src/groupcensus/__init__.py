@@ -9,7 +9,7 @@ against a bundled catalog of all groups of order <= 24.
 """
 
 from .candidates import (Candidate, CandidateRow, enumerate_candidates,
-                         expand_part, integer_partitions)
+                         integer_partitions)
 from .catalog import (CatalogEntry, CatalogError, EXPECTED_GROUP_COUNTS,
                       MAX_CATALOG_ORDER, catalog_search, catalog_tables,
                       catalog_validate, load_catalog)
@@ -48,7 +48,7 @@ __all__ = [
     "catalog_tables", "catalog_validate", "census", "center",
     "conjugacy_classes", "count_solutions", "cyclic_subgroups",
     "derived_subgroup", "direct_product", "element_order",
-    "enumerate_candidates", "euler_phi", "expand_part", "explore",
+    "enumerate_candidates", "euler_phi", "explore",
     "extend_generator_map", "from_permutations", "generated_subgroup",
     "generating_set", "integer_partitions", "inversion_action",
     "is_isomorphic", "isomorphism_classes", "known_groups_for",

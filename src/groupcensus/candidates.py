@@ -1,27 +1,34 @@
 """Enumeration of all a-priori possible signatures for a given delta.
 
 Each cyclic-subgroup order d > 2 contributes n_d * (phi(d) - 1) to delta,
-phi(d) - 1 is odd for d > 2, and distinct orders contribute independently.
-So the possible signatures for a given delta come from the integer
-partitions of delta: each part p splits as p = n * m with m odd, realized
-by n cyclic subgroups of any order d with phi(d) = m + 1, the chosen orders
-pairwise distinct across parts.
+and phi(d) - 1 is odd for d > 2.  So the possible signatures for a given
+delta are the multisets {d: n_d} with sum n_d * (phi(d) - 1) = delta,
+enumerated directly over the orders d with phi(d) - 1 <= delta.
+
+The classical tables group the signatures by an integer partition of
+delta: each order d stands for one part n_d * (phi(d) - 1).  Distinct orders
+are distinct parts, so every signature has exactly one partition row, which
+is derived from the signature on demand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .census import Signature, euler_phi, phi_inverse
 
-MAX_DELTA = 64
-ENUMERATION_DELTA_BOUND = 16
+MAX_DELTA = 16
+
+
+def _check_delta(delta: int) -> None:
+    if not 1 <= delta <= MAX_DELTA:
+        raise ValueError(f"delta must be in 1..{MAX_DELTA}, got {delta}")
 
 
 def integer_partitions(delta: int) -> list[tuple[int, ...]]:
     """All partitions of delta, parts non-increasing, reverse-lexicographic."""
-    if not 1 <= delta <= MAX_DELTA:
-        raise ValueError(f"delta must be in 1..{MAX_DELTA}, got {delta}")
+    _check_delta(delta)
 
     def rec(n: int, max_part: int) -> list[tuple[int, ...]]:
         if n == 0:
@@ -34,26 +41,9 @@ def integer_partitions(delta: int) -> list[tuple[int, ...]]:
     return rec(delta, delta)
 
 
-def expand_part(p: int) -> list[tuple[int, int]]:
-    """All (count, order) readings of one part p of the partition.
-
-    For every odd divisor m of p and every order d with phi(d) = m + 1 the
-    part can stand for p/m cyclic subgroups of order d.
-    """
-    if p < 1:
-        raise ValueError(f"part must be positive, got {p}")
-    options = []
-    for m in range(1, p + 1, 2):
-        if p % m:
-            continue
-        for d in phi_inverse(m + 1):
-            options.append((p // m, d))
-    return options
-
-
 @dataclass(frozen=True)
 class CandidateRow:
-    """One way a partition realizes a signature: a (count, order) per part."""
+    """How a partition realizes a signature: a (count, order) per part."""
 
     partition: tuple[int, ...]
     choices: tuple[tuple[int, int], ...]  # (count, order) aligned with partition
@@ -71,43 +61,45 @@ class CandidateRow:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A possible signature together with every partition row producing it."""
+    """A possible signature; its partition row is derived on demand."""
 
     signature: Signature
-    rows: tuple[CandidateRow, ...]
+
+    @property
+    def rows(self) -> tuple[CandidateRow, ...]:
+        # the one partition row: parts n_d * (phi(d) - 1), non-increasing,
+        # equal parts in ascending order d
+        parts = sorted(((n * (euler_phi(d) - 1), d, n) for d, n
+                        in Counter(self.signature.entries).items()),
+                       key=lambda part: (-part[0], part[1]))
+        return (CandidateRow(tuple(p for p, _d, _n in parts),
+                             tuple((n, d) for _p, d, n in parts)),)
 
 
 def enumerate_candidates(delta: int) -> list[Candidate]:
     """Every signature consistent with the totient identity for this delta.
 
-    Output is sorted by signature and deterministic; rows from different
-    partitions that coincide as multisets are merged.
+    Each signature is produced exactly once, by choosing n_d >= 1 for a
+    selection of distinct orders d, taken in ascending phi(d) so the search
+    stops at the first order that no longer fits; the output is sorted by
+    signature and deterministic.
     """
-    if not 1 <= delta <= ENUMERATION_DELTA_BOUND:
-        raise ValueError(
-            f"delta must be in 1..{ENUMERATION_DELTA_BOUND}, got {delta}")
-    by_signature: dict[Signature, list[CandidateRow]] = {}
-    for partition in integer_partitions(delta):
-        options = [expand_part(p) for p in partition]
+    _check_delta(delta)
+    # (phi(d) - 1, d) for every order d > 2 that fits, ascending
+    orders = [(m, d) for m in range(1, delta + 1, 2)
+              for d in phi_inverse(m + 1)]
+    found: list[tuple[int, ...]] = []
 
-        def assign(i: int, chosen: list[tuple[int, int]], used: set[int]) -> None:
-            if i == len(partition):
-                row = CandidateRow(partition, tuple(chosen))
-                by_signature.setdefault(row.signature, []).append(row)
-                return
-            for count, d in options[i]:
-                if d in used:
-                    continue
-                # equal parts share an option list; force ascending order on
-                # their chosen d so each assignment is produced exactly once
-                if i > 0 and partition[i] == partition[i - 1] and d < chosen[-1][1]:
-                    continue
-                chosen.append((count, d))
-                used.add(d)
-                assign(i + 1, chosen, used)
-                chosen.pop()
-                used.remove(d)
+    def extend(start: int, rest: int, entries: tuple[int, ...]) -> None:
+        if rest == 0:
+            found.append(tuple(sorted(entries)))
+            return
+        for i in range(start, len(orders)):
+            m, d = orders[i]
+            if m > rest:
+                break
+            for n in range(1, rest // m + 1):
+                extend(i + 1, rest - n * m, entries + (d,) * n)
 
-        assign(0, [], set())
-    return [Candidate(sig, tuple(rows))
-            for sig, rows in sorted(by_signature.items())]
+    extend(0, delta, ())
+    return [Candidate(Signature(entries)) for entries in sorted(found)]

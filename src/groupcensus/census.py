@@ -137,13 +137,19 @@ def cyclic_subgroups(g: GroupTable) -> set[SubgroupSet]:
     """The set {<x> : x in G}, deduplicated by member set.
 
     ``census`` counts the same subgroups from the element-order histogram;
-    this set-based construction stays as the independent reference.
+    this set-based construction stays as the independent reference.  Raises
+    GroupConstructionError when the powers of some element do not reach 0
+    within ``order`` steps, which only an unvalidated non-group can do.
     """
     found: set[tuple[int, ...]] = set()
     for x in range(g.order):
         members = [0]
         acc = x
         while acc != 0:
+            if len(members) == g.order:
+                raise GroupConstructionError(
+                    f"{g.name} is not a group: the powers of element {x} do"
+                    f" not reach 0 within {g.order} steps")
             members.append(acc)
             acc = g.product[acc][x]
         found.add(tuple(sorted(members)))

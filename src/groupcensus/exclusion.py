@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .candidates import enumerate_candidates
@@ -31,8 +32,15 @@ class Verdict:
     recorded_rule: str | None  # curated justification, delta <= 5 only
 
 
-def _divisors_over_2(m: int) -> list[int]:
-    return [k for k in range(3, m + 1) if m % k == 0]
+# per-order facts, computed once per order rather than per signature and rule
+@cache
+def _divisors_over_2(m: int) -> tuple[int, ...]:
+    return tuple(k for k in range(3, m + 1) if m % k == 0)
+
+
+@cache
+def _odd_prime_divisors(m: int) -> tuple[int, ...]:
+    return tuple(p for p in _divisors_over_2(m) if euler_phi(p) == p - 1)
 
 
 def _missing_divisor(sig: Signature) -> bool:
@@ -45,8 +53,7 @@ def _missing_divisor(sig: Signature) -> bool:
 def _sylow_count(sig: Signature) -> bool:
     # an odd prime p dividing an entry divides |G|, and then the number of
     # subgroups of order p is 1 mod p (Frobenius' refinement of Sylow)
-    primes = {p for m in sig.entries for p in _divisors_over_2(m)
-              if euler_phi(p) == p - 1}
+    primes = {p for m in set(sig.entries) for p in _odd_prime_divisors(m)}
     return any(sig.multiplicity(p) % p != 1 for p in primes)
 
 

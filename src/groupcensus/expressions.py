@@ -42,10 +42,17 @@ _CONSTRUCTORS = {
 }
 
 
+# sd(...) is the only construct that nests; the parser recurses once per
+# level, so deeper input would exhaust the interpreter stack.  No valid
+# expression comes close: each level at least doubles the order.
+MAX_NESTING = 32
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> GroupExpressionError:
         return GroupExpressionError(message, self.pos)
@@ -86,13 +93,17 @@ class _Parser:
         return self.parse_name()
 
     def parse_semidirect(self) -> GroupTable:
+        if self.depth == MAX_NESTING:
+            raise self.error(f"sd(...) nested deeper than {MAX_NESTING}")
         self.expect("sd(")
+        self.depth += 1
         normal = self.parse_expr()
         self.expect(",")
         acting = self.parse_expr()
         self.expect(",")
         self.expect("inv")
         self.expect(")")
+        self.depth -= 1
         if not normal.is_abelian:
             raise self.error(
                 f"inversion action needs an abelian base, {normal.name} is not")

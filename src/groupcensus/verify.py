@@ -433,14 +433,16 @@ def explore(delta: int) -> list[SurvivorReport]:
     """
     from .candidates import enumerate_candidates
 
+    candidates = enumerate_candidates(delta)
+    witnesses_by_sigma: dict[Signature, list] = {}
+    for entry, _table, rep in catalog_tables():
+        witnesses_by_sigma.setdefault(rep.signature, []).append((entry, rep))
     out = []
-    for candidate in enumerate_candidates(delta):
+    for candidate in candidates:
         sig = candidate.signature
         if apply_rules(sig).excluded:
             continue
-        witnesses = tuple(
-            (entry, rep) for entry, _table, rep in catalog_tables()
-            if rep.signature == sig)
+        witnesses = tuple(witnesses_by_sigma.get(sig, ()))
         known = known_groups_for(sig)
         labels = tuple(r.label for r in known) if known is not None else None
         out.append(SurvivorReport(sig, witnesses, labels))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcensus import (Signature, enumerate_candidates, euler_phi,
-                         expand_part, integer_partitions)
+from groupcensus import (CandidateRow, Signature, enumerate_candidates,
+                         euler_phi, integer_partitions, phi_inverse)
 
 # enumerate_candidates and explore for delta = 6..16, captured from the
 # trial-division phi_inverse before its replacement
@@ -103,7 +103,52 @@ def test_partitions_shape():
 
 
 # ---------------------------------------------------------------------------
-# part expansion
+# part expansion: the partition-backtracking enumerator, kept as the oracle
+# for the direct enumeration
+
+
+def expand_part(p):
+    """All (count, order) readings of one part p of a partition.
+
+    For every odd divisor m of p and every order d with phi(d) = m + 1 the
+    part can stand for p/m cyclic subgroups of order d.
+    """
+    options = []
+    for m in range(1, p + 1, 2):
+        if p % m:
+            continue
+        for d in phi_inverse(m + 1):
+            options.append((p // m, d))
+    return options
+
+
+def enumerate_by_partitions(delta):
+    """(signature, rows) pairs sorted by signature, every partition of delta
+    expanded part by part with pairwise distinct orders."""
+    by_signature = {}
+    for partition in integer_partitions(delta):
+        options = [expand_part(p) for p in partition]
+
+        def assign(i, chosen, used):
+            if i == len(partition):
+                row = CandidateRow(partition, tuple(chosen))
+                by_signature.setdefault(row.signature, []).append(row)
+                return
+            for count, d in options[i]:
+                if d in used:
+                    continue
+                # equal parts share an option list; force ascending order on
+                # their chosen d so each assignment is produced exactly once
+                if i > 0 and partition[i] == partition[i - 1] and d < chosen[-1][1]:
+                    continue
+                chosen.append((count, d))
+                used.add(d)
+                assign(i + 1, chosen, used)
+                chosen.pop()
+                used.remove(d)
+
+        assign(0, [], set())
+    return [(sig, tuple(rows)) for sig, rows in sorted(by_signature.items())]
 
 
 def test_expand_part_examples():
@@ -179,12 +224,23 @@ def test_candidates_are_sound_for_catalog(catalog):
             assert report.signature in sigs, entry.label
 
 
-def test_rows_merge_by_signature():
+def test_one_row_per_signature():
+    # each distinct order takes one part, so a signature has a single row
     for delta in range(1, 7):
         for cand in enumerate_candidates(delta):
-            assert len(cand.rows) >= 1
-            for row in cand.rows:
-                assert row.signature == cand.signature
+            (row,) = cand.rows
+            assert row.signature == cand.signature
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_direct_enumeration_matches_partition_oracle(delta):
+    got = enumerate_candidates(delta)
+    expected = enumerate_by_partitions(delta)
+    assert [c.signature for c in got] == [sig for sig, _rows in expected]
+    for cand, (_sig, rows) in zip(got, expected):
+        assert cand.rows == rows  # partition and choices, field by field
+        assert [r.factorization for r in cand.rows] == \
+            [r.factorization for r in rows]
 
 
 def test_delta_out_of_range():
@@ -192,3 +248,6 @@ def test_delta_out_of_range():
         enumerate_candidates(0)
     with pytest.raises(ValueError):
         enumerate_candidates(17)
+    # one bound for partitions and candidates
+    with pytest.raises(ValueError):
+        integer_partitions(17)

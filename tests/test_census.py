@@ -7,6 +7,9 @@ cross-checked against an independent oracle, the set-based
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -153,6 +156,24 @@ def test_census_rejects_a_latin_square_that_is_not_a_group():
     assert sorted(square.element_orders()) == [1, 2, 3, 3, 3]
     with pytest.raises(GroupConstructionError, match=r"phi\(3\) = 2"):
         census(square)
+
+
+def test_cyclic_subgroups_stop_when_powers_miss_the_identity():
+    # in this unvalidated table 1*1 = 2 and 2*1 = 2, so the powers of 1 never
+    # reach 0; run in a child process so that an endless loop fails the test
+    code = ("from groupcensus import (GroupConstructionError, GroupTable,\n"
+            "                         cyclic_subgroups)\n"
+            "bad = GroupTable([[0, 1, 2], [1, 2, 0], [2, 2, 0]], validate=False)\n"
+            "try:\n"
+            "    cyclic_subgroups(bad)\n"
+            "except GroupConstructionError as err:\n"
+            "    print(err)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=20, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == ("G is not a group: the powers of element 1 do not"
+                            " reach 0 within 3 steps\n")
 
 
 def test_census_identities_on_catalog(catalog):

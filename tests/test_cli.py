@@ -1,7 +1,9 @@
 """CLI subcommands: output schemas, determinism and exit codes."""
 
+import hashlib
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -13,6 +15,13 @@ def run_cli(*argv):
     out = io.StringIO()
     code = cli.run(list(argv), out=out)
     return code, out.getvalue()
+
+
+# sha256 of the candidates and exclude output for delta 1..16 in every
+# format, captured from the partition-backtracking enumerator
+PINNED_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_digests.json").read_text()
+)["digests"]
 
 
 def run_json(*argv):
@@ -34,6 +43,13 @@ def test_analyze_json():
     assert payload["census"]["sigma"] == [3, 3, 3, 3]
     assert set(payload["census"]) == {"order", "n_d", "cyclic_count",
                                       "delta", "sigma"}
+
+
+def test_analyze_deep_nesting_is_usage_error():
+    # this used to escape as RecursionError and exit 1, the verification code
+    code, text = run_cli("analyze", "sd(" * 400)
+    assert code == 2
+    assert text == ""
 
 
 def test_analyze_parse_error_is_usage_error():
@@ -143,3 +159,14 @@ def test_usage_errors():
 ])
 def test_output_is_deterministic(argv):
     assert run_cli(*argv) == run_cli(*argv)
+
+
+@pytest.mark.parametrize("command", ["candidates", "exclude"])
+@pytest.mark.parametrize("fmt", ["table", "json", "latex"])
+def test_output_matches_pinned_digests(command, fmt):
+    for delta in range(1, 17):
+        argv = [command, "--delta", str(delta), "--format", fmt]
+        code, text = run_cli(*argv)
+        assert code == 0
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[" ".join(argv)], argv

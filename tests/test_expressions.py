@@ -55,6 +55,17 @@ def test_parse_errors_carry_position():
         parse_group("")
 
 
+def test_nesting_depth_is_bounded():
+    # 400 nested sd( used to exhaust the interpreter stack with RecursionError
+    with pytest.raises(GroupExpressionError, match="nested deeper than 32") \
+            as err:
+        parse_group("sd(" * 400)
+    assert err.value.position == 3 * 32
+    # nesting within the limit still reaches the ordinary checks
+    with pytest.raises(GroupExpressionError, match="abelian base"):
+        parse_group("sd(" * 32 + "C3, C2, inv)" + ", C2, inv)" * 31)
+
+
 def test_order_overflow():
     with pytest.raises(GroupExpressionError):
         parse_group("C100")
