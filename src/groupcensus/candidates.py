@@ -14,7 +14,7 @@ is derived from the signature on demand.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .census import Signature, euler_phi, phi_inverse
 
@@ -41,8 +41,7 @@ def integer_partitions(delta: int) -> list[tuple[int, ...]]:
     return rec(delta, delta)
 
 
-@dataclass(frozen=True)
-class CandidateRow:
+class CandidateRow(NamedTuple):
     """How a partition realizes a signature: a (count, order) per part."""
 
     partition: tuple[int, ...]
@@ -59,8 +58,7 @@ class CandidateRow:
             d for count, d in self.choices for _ in range(count))
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A possible signature; its partition row is derived on demand."""
 
     signature: Signature

@@ -9,10 +9,10 @@ the catalog provably complete through order 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
+from typing import NamedTuple
 
 from .census import CensusReport, Signature, census
 from .groups import GroupTable, Permutation, from_permutations
@@ -35,8 +35,7 @@ class CatalogError(ValueError):
     """The catalog data file is malformed or fails validation."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One catalog group: its order, stable index, label and generators."""
 
     order: int

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .groups import GroupConstructionError, GroupTable, SubgroupSet
 
@@ -69,17 +68,36 @@ def phi_inverse(m: int) -> list[int]:
     return sorted(solutions(m, 0))
 
 
-@dataclass(frozen=True, order=True)
 class Signature:
-    """Sorted multiset of cyclic-subgroup orders greater than 2."""
+    """Sorted multiset of cyclic-subgroup orders greater than 2.
 
-    entries: tuple[int, ...]
+    Compared, hashed and ordered by its entries; treated as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if any(e <= 2 for e in self.entries):
-            raise ValueError(f"signature entries must exceed 2: {self.entries}")
-        if list(self.entries) != sorted(self.entries):
-            raise ValueError(f"signature entries must be sorted: {self.entries}")
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if entries and min(entries) <= 2:
+            raise ValueError(f"signature entries must exceed 2: {entries}")
+        if list(entries) != sorted(entries):
+            raise ValueError(f"signature entries must be sorted: {entries}")
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __lt__(self, other: "Signature") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries < other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Signature(entries={self.entries!r})"
 
     @classmethod
     def of(cls, *entries: int) -> "Signature":
@@ -110,8 +128,7 @@ class Signature:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Per-order cyclic subgroup counts and the derived invariants."""
 
     group_order: int

@@ -8,7 +8,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -31,6 +30,45 @@ def _emit(stream, text: str) -> None:
     stream.write(text + "\n")
 
 
+def _emit_json(stream, payload) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline.
+
+    The standard library's C encoder serves only ``indent=None``; with an
+    indent every value goes through its pure-Python encoder.  The payloads
+    here hold only dicts with string keys, lists, strings, ints, booleans
+    and None, so the indented layout is written directly, with the C string
+    encoder for every string.  json is imported here, not at start-up,
+    because only ``--format json`` needs it.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    def encode(value, indent: str) -> str:
+        kind = type(value)
+        if kind is int:
+            return str(value)
+        if kind is str:
+            return quote(value)
+        if value is None:
+            return "null"
+        if kind is bool:
+            return "true" if value else "false"
+        inner = indent + "  "
+        if kind is list:
+            if not value:
+                return "[]"
+            body = (",\n" + inner).join([encode(v, inner) for v in value])
+            return "[\n" + inner + body + "\n" + indent + "]"
+        if kind is dict:
+            if not value:
+                return "{}"
+            body = (",\n" + inner).join([quote(k) + ": " + encode(v, inner)
+                                          for k, v in value.items()])
+            return "{\n" + inner + body + "\n" + indent + "}"
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+    _emit(stream, encode(payload, ""))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -44,7 +82,7 @@ def _cmd_analyze(args, out) -> int:
     report = census(table)
     if args.format == "json":
         payload = {"group": table.name, "census": report.to_json_dict()}
-        _emit(out, json.dumps(payload, indent=2))
+        _emit_json(out, payload)
         return 0
     _emit(out, f"group: {table.name}")
     _emit(out, f"order: {report.group_order}")
@@ -102,7 +140,7 @@ def _cmd_candidates(args, out) -> int:
                 for c in cands
             ],
         }
-        _emit(out, json.dumps(payload, indent=2))
+        _emit_json(out, payload)
         return 0
     if args.format == "latex":
         _emit_partition_latex(out, args.delta, cands)
@@ -136,7 +174,7 @@ def _cmd_exclude(args, out) -> int:
             "counts": {"candidates": len(cands), "excluded": len(excluded),
                        "survivors": len(survivors)},
         }
-        _emit(out, json.dumps(payload, indent=2))
+        _emit_json(out, payload)
         return 0
     if args.format == "latex":
         _emit_partition_latex(out, args.delta, cands)
@@ -198,7 +236,7 @@ def _cmd_verify(args, out) -> int:
         report = verify_theorem(args.delta)
         report.merge(catalog_validate())
     if args.format == "json":
-        _emit(out, json.dumps(report.to_json_dict(), indent=2))
+        _emit_json(out, report.to_json_dict())
     else:
         for claim in report.claims:
             status = "ok" if claim.passed else "FAIL"
@@ -233,7 +271,7 @@ def _cmd_catalog(args, out) -> int:
     if args.format == "json":
         payload = [{"order": e.order, "index": e.index, "label": e.label,
                     "census": r.to_json_dict()} for e, r in hits]
-        _emit(out, json.dumps(payload, indent=2))
+        _emit_json(out, payload)
         return 0
     for entry, report in hits:
         _emit(out, f"{entry.order:>2} {entry.index:>2} {entry.label:<14}"
@@ -252,7 +290,7 @@ def _cmd_explore(args, out) -> int:
     if args.format == "json":
         payload = {"delta": args.delta,
                    "survivors": [s.to_json_dict() for s in survivors]}
-        _emit(out, json.dumps(payload, indent=2))
+        _emit_json(out, payload)
         return 0
     _emit(out, f"delta = {args.delta}: {len(survivors)} surviving signatures")
     for surv in survivors:

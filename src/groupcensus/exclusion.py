@@ -4,28 +4,30 @@ Each rule encodes a nonexistence argument: if it fires on a signature, no
 finite group realizes that signature.  Rules are evaluated exhaustively
 (never first-match) so the verdict can be compared against the recorded
 justification for the classically tabulated cases delta <= 5.
+
+``apply_rules`` counts the entries once into the multiplicity map
+{d: n_d}; every rule is then a predicate over the sorted entries and that
+map, and all thirteen are still evaluated on every signature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .candidates import enumerate_candidates
 from .census import Signature, euler_phi
 
 
-@dataclass(frozen=True)
-class ExclusionRule:
+class ExclusionRule(NamedTuple):
     id: str
     description: str
-    predicate: Callable[[Signature], bool]  # True = excluded
+    # (entries, {d: n_d}) -> True when the signature is excluded
+    predicate: Callable[[tuple[int, ...], dict[int, int]], bool]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     signature: Signature
     excluded: bool
     fired_rules: tuple[str, ...]
@@ -43,72 +45,80 @@ def _odd_prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(p for p in _divisors_over_2(m) if euler_phi(p) == p - 1)
 
 
-def _missing_divisor(sig: Signature) -> bool:
+# every predicate reads the sorted entries and n = {d: n_d}, keys ascending
+def _missing_divisor(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # a cyclic subgroup of order m contains one of order k for every k | m
-    present = set(sig.entries)
-    return any(k not in present
-               for m in present for k in _divisors_over_2(m))
+    for m in n:
+        for k in _divisors_over_2(m):
+            if k not in n:
+                return True
+    return False
 
 
-def _sylow_count(sig: Signature) -> bool:
+def _sylow_count(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # an odd prime p dividing an entry divides |G|, and then the number of
     # subgroups of order p is 1 mod p (Frobenius' refinement of Sylow)
-    primes = {p for m in set(sig.entries) for p in _odd_prime_divisors(m)}
-    return any(sig.multiplicity(p) % p != 1 for p in primes)
+    for m in n:
+        for p in _odd_prime_divisors(m):
+            if n.get(p, 0) % p != 1:
+                return True
+    return False
 
 
-def _coprime_product(sig: Signature) -> bool:
+def _coprime_product(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # unique cyclic subgroups of coprime orders a, b are normal and commute
     # elementwise, so an element of order ab exists
-    unique = [d for d in sorted(set(sig.entries)) if sig.multiplicity(d) == 1]
-    present = set(sig.entries)
-    return any(math.gcd(a, b) == 1 and a * b not in present
-               for i, a in enumerate(unique) for b in unique[i + 1:])
+    unique: list[int] = []
+    for b, count in n.items():
+        if count == 1:
+            for a in unique:
+                if math.gcd(a, b) == 1 and a * b not in n:
+                    return True
+            unique.append(b)
+    return False
 
 
-def _unique_3_with_4(sig: Signature) -> bool:
+def _unique_3_with_4(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # a unique (hence normal) C3 is centralized by the square of any
     # order-4 element, producing an element of order 6
-    return (sig.multiplicity(3) == 1 and sig.multiplicity(4) >= 1
-            and 6 not in sig)
+    return n.get(3) == 1 and 4 in n and 6 not in n
 
 
-def _two_4s_with_3(sig: Signature) -> bool:
+def _two_4s_with_3(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # with exactly two C4's, any order-3 element acts trivially on the pair
     # and its square centralizes either, giving an element of order 12
-    return (sig.multiplicity(4) == 2 and 3 in sig and 12 not in sig)
+    return n.get(4) == 2 and 3 in n and 12 not in n
 
 
-def _unique_3_two_6s(sig: Signature) -> bool:
+def _unique_3_two_6s(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # two C6's over a unique C3 share their squares, and the product of
     # their generators spans a third C6
-    return sig.multiplicity(3) == 1 and sig.multiplicity(6) == 2
+    return n.get(3) == 1 and n.get(6) == 2
 
 
-def _unique_4_with_3(sig: Signature) -> bool:
+def _unique_4_with_3(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # a unique (hence normal) C4 admits no nontrivial C3-action, so a
     # subgroup C4 x C3 = C12 exists
-    return sig.multiplicity(4) == 1 and 3 in sig and 12 not in sig
+    return n.get(4) == 1 and 3 in n and 12 not in n
 
 
-def _odd_4s(sig: Signature) -> bool:
+def _odd_4s(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # a 2-group with an odd count of C4's is cyclic, dihedral, generalized
     # quaternion or quasidihedral; only C4, D8 (one C4) and Q8 (three) have
     # no cyclic subgroup of any other order > 2
-    entries = sig.entries
-    return (bool(entries) and all(e == 4 for e in entries)
-            and len(entries) % 2 == 1 and len(entries) not in (1, 3))
+    fours = n.get(4, 0)
+    return len(n) == 1 and fours % 2 == 1 and fours not in (1, 3)
 
 
-def _unique_6_repeated_3(sig: Signature) -> bool:
+def _unique_6_repeated_3(entries: tuple[int, ...], n: dict[int, int]) -> bool:
     # a unique (hence normal) C6 next to a disjoint C3 forces C6 x C3,
     # which already contains four C6's
-    return sig.multiplicity(6) == 1 and sig.multiplicity(3) >= 2
+    return n.get(6) == 1 and n.get(3, 0) >= 2
 
 
-def _exact(*entries: int) -> Callable[[Signature], bool]:
+def _exact(*entries: int) -> Callable[[tuple[int, ...], dict[int, int]], bool]:
     pattern = tuple(sorted(entries))
-    return lambda sig: sig.entries == pattern
+    return lambda entries, n: entries == pattern
 
 
 _RULES = (
@@ -186,9 +196,13 @@ def rule_registry() -> list[ExclusionRule]:
 
 def apply_rules(sig: Signature) -> Verdict:
     """Evaluate every rule on a signature and report all that fire."""
-    fired = tuple(rule.id for rule in _RULES if rule.predicate(sig))
+    entries = sig.entries
+    n: dict[int, int] = {}
+    for d in entries:
+        n[d] = n.get(d, 0) + 1
+    fired = tuple([rule.id for rule in _RULES if rule.predicate(entries, n)])
     return Verdict(sig, bool(fired), fired,
-                   RECORDED_JUSTIFICATIONS.get(sig.entries))
+                   RECORDED_JUSTIFICATIONS.get(entries))
 
 
 def revised_table(delta: int) -> list[Signature]:

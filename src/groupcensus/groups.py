@@ -10,7 +10,6 @@ turns subtle construction bugs into immediate errors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 MAX_ORDER = 64
@@ -28,18 +27,32 @@ class InvalidActionError(ValueError):
 # permutations
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection of 0..degree-1, used for generators and automorphisms."""
+    """A bijection of 0..degree-1, used for generators and automorphisms.
 
-    images: tuple[int, ...]
+    Compared and hashed by its images; treated as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
         if n == 0:
             raise ValueError("permutation degree must be positive")
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"images {self.images} are not a bijection of 0..{n - 1}")
+        if sorted(images) != list(range(n)):
+            raise ValueError(f"images {images} are not a bijection of 0..{n - 1}")
+        self.images = images
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @property
     def degree(self) -> int:
@@ -62,26 +75,28 @@ class Permutation:
             degree = top + 1
         elif top >= degree:
             raise ValueError(f"point {top} exceeds degree {degree}")
-        images = list(range(degree))
-        for cycle in cycles:
-            if len(set(cycle)) != len(cycle):
-                raise ValueError(f"repeated point in cycle {cycle}")
-            for i, p in enumerate(cycle):
-                if images[p] != p:
-                    raise ValueError(f"point {p} appears in two cycles")
-                images[p] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(images))
+        return cls(_cycle_images(_moving_cycles(cycles), degree))
 
     @classmethod
     def from_generator_text(cls, text: str) -> tuple["Permutation", ...]:
-        """Parse ``;``-separated cycle strings, extended to a common degree.
+        """Parse ``;``-separated cycle strings into permutations.
 
-        Empty chunks are skipped, so a blank text gives no generators.
+        Only the points that some generator moves are kept, numbered 0..k-1
+        in ascending order, so the cost follows the length of the text and
+        not the largest point; fixed points and renumbering change neither
+        the group nor the table ``from_permutations`` builds.  Empty chunks
+        are skipped, so a blank text gives no generators.
         """
         chunks = [c.strip() for c in text.split(";")]
-        perms = [cls.from_cycles(c) for c in chunks if c]
-        degree = max((p.degree for p in perms), default=1)
-        return tuple(p.extended(degree) for p in perms)
+        gens = [_moving_cycles(_parse_cycle_text(c)) for c in chunks if c]
+        moved = sorted({p for cycles in gens for cycle in cycles
+                        for p in cycle})
+        label = {p: i for i, p in enumerate(moved)}
+        degree = max(len(moved), 1)
+        return tuple(
+            cls(_cycle_images([[label[p] for p in cycle] for cycle in cycles],
+                              degree))
+            for cycles in gens)
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -97,12 +112,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             images[j] = i
         return Permutation(tuple(images))
-
-    def extended(self, degree: int) -> "Permutation":
-        """The same permutation acting on a larger set, new points fixed."""
-        if degree < self.degree:
-            raise ValueError("cannot shrink a permutation")
-        return Permutation(self.images + tuple(range(self.degree, degree)))
 
     def cycle_string(self) -> str:
         cycles = []
@@ -120,6 +129,31 @@ class Permutation:
                 p = self.images[p]
             cycles.append("(" + " ".join(str(q) for q in cycle) + ")")
         return "".join(cycles) if cycles else "()"
+
+
+def _moving_cycles(cycles: list[list[int]]) -> list[list[int]]:
+    """The cycles of length > 1, after checking that no cycle repeats a
+    point and no point lies in a cycle after one that moves it."""
+    moving = []
+    moved: set[int] = set()
+    for cycle in cycles:
+        if len(set(cycle)) != len(cycle):
+            raise ValueError(f"repeated point in cycle {cycle}")
+        for p in cycle:
+            if p in moved:
+                raise ValueError(f"point {p} appears in two cycles")
+        if len(cycle) > 1:
+            moved.update(cycle)
+            moving.append(cycle)
+    return moving
+
+
+def _cycle_images(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
+    images = list(range(degree))
+    for cycle in cycles:
+        for i, p in enumerate(cycle):
+            images[p] = cycle[(i + 1) % len(cycle)]
+    return tuple(images)
 
 
 def _parse_cycle_text(text: str) -> list[list[int]]:
@@ -246,12 +280,25 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
                     f"associativity fails at ({a}, {b})")
 
 
-@dataclass(frozen=True)
 class SubgroupSet:
-    """A subset of a group's element indices closed under its product."""
+    """A subset of a group's element indices closed under its product.
 
-    parent: GroupTable = field(compare=False)
-    members: tuple[int, ...]
+    Compared and hashed by its members alone, not by the parent group.
+    """
+
+    __slots__ = ("parent", "members")
+
+    def __init__(self, parent: GroupTable, members: tuple[int, ...]) -> None:
+        self.parent = parent
+        self.members = members
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
 
     @property
     def order(self) -> int:
@@ -459,7 +506,6 @@ def from_permutations(gens: Sequence[Permutation], name: str = "G") -> GroupTabl
 # automorphism actions and semidirect products
 
 
-@dataclass(frozen=True)
 class AutomorphismAction:
     """An action of one group on another by automorphisms.
 
@@ -468,16 +514,15 @@ class AutomorphismAction:
     assignment h -> maps[h] a homomorphism; both are checked at construction.
     """
 
-    acting: GroupTable
-    target: GroupTable
-    maps: tuple[Permutation, ...]
+    __slots__ = ("acting", "target", "maps")
 
-    def __post_init__(self) -> None:
-        h, n = self.acting, self.target
-        if len(self.maps) != h.order:
+    def __init__(self, acting: GroupTable, target: GroupTable,
+                 maps: tuple[Permutation, ...]) -> None:
+        h, n = acting, target
+        if len(maps) != h.order:
             raise InvalidActionError(
-                f"expected {h.order} maps, got {len(self.maps)}")
-        for k, p in enumerate(self.maps):
+                f"expected {h.order} maps, got {len(maps)}")
+        for k, p in enumerate(maps):
             if p.degree != n.order:
                 raise InvalidActionError(
                     f"map for element {k} has degree {p.degree},"
@@ -496,11 +541,14 @@ class AutomorphismAction:
                             f" at ({x}, {y})")
         for k1 in range(h.order):
             for k2 in range(h.order):
-                composed = self.maps[k1].compose(self.maps[k2])
-                if composed != self.maps[h.product[k1][k2]]:
+                composed = maps[k1].compose(maps[k2])
+                if composed != maps[h.product[k1][k2]]:
                     raise InvalidActionError(
                         f"maps do not define a homomorphism:"
                         f" map[{k1}*{k2}] != map[{k1}] o map[{k2}]")
+        self.acting = acting
+        self.target = target
+        self.maps = maps
 
 
 def inversion_action(a: GroupTable) -> AutomorphismAction:

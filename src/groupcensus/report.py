@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named check; detail carries the witness on failure."""
 
     name: str
@@ -17,8 +16,7 @@ class CheckResult:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     """Outcome of constructing one claimed group and checking its census."""
 
     delta: int
@@ -41,13 +39,17 @@ class ClaimResult:
         }
 
 
-@dataclass
 class VerificationReport:
     """Aggregate of claim checks, catalog sweep checks and property checks."""
 
-    claims: list[ClaimResult] = field(default_factory=list)
-    sweep: list[CheckResult] = field(default_factory=list)
-    properties: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("claims", "sweep", "properties")
+
+    def __init__(self, claims: list[ClaimResult] | None = None,
+                 sweep: list[CheckResult] | None = None,
+                 properties: list[CheckResult] | None = None) -> None:
+        self.claims = [] if claims is None else claims
+        self.sweep = [] if sweep is None else sweep
+        self.properties = [] if properties is None else properties
 
     @property
     def passed(self) -> bool:

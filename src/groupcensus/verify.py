@@ -10,10 +10,9 @@ structural facts the classification arguments lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
                       catalog_validate)
@@ -29,8 +28,7 @@ from .isomorphism import extend_generator_map, isomorphism_classes
 from .report import CheckResult, ClaimResult, VerificationReport
 
 
-@dataclass(frozen=True)
-class GroupRecipe:
+class GroupRecipe(NamedTuple):
     """A named construction together with the signature it must realize."""
 
     label: str
@@ -38,8 +36,7 @@ class GroupRecipe:
     expected_sigma: Signature
 
 
-@dataclass(frozen=True)
-class TheoremClaim:
+class TheoremClaim(NamedTuple):
     """The complete list of groups claimed for one value of delta."""
 
     delta: int
@@ -407,8 +404,7 @@ def property_suite() -> VerificationReport:
 # exploration
 
 
-@dataclass(frozen=True)
-class SurvivorReport:
+class SurvivorReport(NamedTuple):
     """One surviving signature with catalog witnesses and any known list."""
 
     signature: Signature

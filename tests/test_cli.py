@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -50,6 +54,18 @@ def test_analyze_deep_nesting_is_usage_error():
     code, text = run_cli("analyze", "sd(" * 400)
     assert code == 2
     assert text == ""
+
+
+def test_analyze_perm_cost_follows_the_text():
+    # only moved points are kept: a large point label used to allocate a
+    # permutation of that degree (about 1.5 s and 300 MB for 3,000,000),
+    # and a label past the machine word escaped as OverflowError, exit 1
+    expected = run_cli("analyze", "perm[(0 1)]")
+    assert expected[0] == 0
+    start = time.perf_counter()
+    assert run_cli("analyze", "perm[(0 3000000)]") == expected
+    assert time.perf_counter() - start < 1.0
+    assert run_cli("analyze", "perm[(0 99999999999999999999)]") == expected
 
 
 def test_analyze_parse_error_is_usage_error():
@@ -170,3 +186,30 @@ def test_output_matches_pinned_digests(command, fmt):
         assert code == 0
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_DIGESTS[" ".join(argv)], argv
+
+
+def test_json_writer_matches_the_standard_encoder():
+    payload = {"ints": [0, -7, 10 ** 30], "empty": [], "none": {},
+               "flags": [True, False, None],
+               "text": ["plain", "quote \" and \\", "tab\tline\n",
+                        "caf\u00e9 \u2200", ""],
+               "nested": [[[]], [{"a": [1, {"b": None}]}]]}
+    out = io.StringIO()
+    cli._emit_json(out, payload)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli._emit_json(io.StringIO(), {"ratio": 0.5})
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # dataclasses pulls in inspect, ast and dis; json is needed only by
+    # --format json and is imported there
+    code = ("import sys; before = set(sys.modules); import groupcensus.cli;"
+            " print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
+    added = set(child.stdout.split())
+    assert "groupcensus.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}

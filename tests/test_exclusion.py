@@ -1,9 +1,16 @@
 """Exclusion rules against the hand-tabulated exclusion and revised tables."""
 
+import math
+from functools import cache
+from typing import Callable
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcensus import (RECORDED_JUSTIFICATIONS, Signature, apply_rules,
                          enumerate_candidates, revised_table, rule_registry)
+from groupcensus.census import euler_phi
 
 RULE_IDS = [
     "missing_divisor", "sylow_count", "coprime_product", "unique_3_with_4",
@@ -98,3 +105,126 @@ def test_no_rule_fires_on_real_groups(catalog):
     for entry, _table, report in catalog:
         verdict = apply_rules(report.signature)
         assert not verdict.excluded, (entry.label, verdict.fired_rules)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the rules as they were written before the single-pass evaluation,
+# one Signature method call per question; apply_rules must agree exactly
+
+
+@cache
+def _divisors_over_2(m: int) -> tuple[int, ...]:
+    return tuple(k for k in range(3, m + 1) if m % k == 0)
+
+
+@cache
+def _odd_prime_divisors(m: int) -> tuple[int, ...]:
+    return tuple(p for p in _divisors_over_2(m) if euler_phi(p) == p - 1)
+
+
+def _missing_divisor(sig: Signature) -> bool:
+    # a cyclic subgroup of order m contains one of order k for every k | m
+    present = set(sig.entries)
+    return any(k not in present
+               for m in present for k in _divisors_over_2(m))
+
+
+def _sylow_count(sig: Signature) -> bool:
+    # an odd prime p dividing an entry divides |G|, and then the number of
+    # subgroups of order p is 1 mod p (Frobenius' refinement of Sylow)
+    primes = {p for m in set(sig.entries) for p in _odd_prime_divisors(m)}
+    return any(sig.multiplicity(p) % p != 1 for p in primes)
+
+
+def _coprime_product(sig: Signature) -> bool:
+    # unique cyclic subgroups of coprime orders a, b are normal and commute
+    # elementwise, so an element of order ab exists
+    unique = [d for d in sorted(set(sig.entries)) if sig.multiplicity(d) == 1]
+    present = set(sig.entries)
+    return any(math.gcd(a, b) == 1 and a * b not in present
+               for i, a in enumerate(unique) for b in unique[i + 1:])
+
+
+def _unique_3_with_4(sig: Signature) -> bool:
+    # a unique (hence normal) C3 is centralized by the square of any
+    # order-4 element, producing an element of order 6
+    return (sig.multiplicity(3) == 1 and sig.multiplicity(4) >= 1
+            and 6 not in sig)
+
+
+def _two_4s_with_3(sig: Signature) -> bool:
+    # with exactly two C4's, any order-3 element acts trivially on the pair
+    # and its square centralizes either, giving an element of order 12
+    return (sig.multiplicity(4) == 2 and 3 in sig and 12 not in sig)
+
+
+def _unique_3_two_6s(sig: Signature) -> bool:
+    # two C6's over a unique C3 share their squares, and the product of
+    # their generators spans a third C6
+    return sig.multiplicity(3) == 1 and sig.multiplicity(6) == 2
+
+
+def _unique_4_with_3(sig: Signature) -> bool:
+    # a unique (hence normal) C4 admits no nontrivial C3-action, so a
+    # subgroup C4 x C3 = C12 exists
+    return sig.multiplicity(4) == 1 and 3 in sig and 12 not in sig
+
+
+def _odd_4s(sig: Signature) -> bool:
+    # a 2-group with an odd count of C4's is cyclic, dihedral, generalized
+    # quaternion or quasidihedral; only C4, D8 (one C4) and Q8 (three) have
+    # no cyclic subgroup of any other order > 2
+    entries = sig.entries
+    return (bool(entries) and all(e == 4 for e in entries)
+            and len(entries) % 2 == 1 and len(entries) not in (1, 3))
+
+
+def _unique_6_repeated_3(sig: Signature) -> bool:
+    # a unique (hence normal) C6 next to a disjoint C3 forces C6 x C3,
+    # which already contains four C6's
+    return sig.multiplicity(6) == 1 and sig.multiplicity(3) >= 2
+
+
+def _exact(*entries: int) -> Callable[[Signature], bool]:
+    pattern = tuple(sorted(entries))
+    return lambda sig: sig.entries == pattern
+
+
+ORACLE_RULES = (
+    ("missing_divisor", _missing_divisor),
+    ("sylow_count", _sylow_count),
+    ("coprime_product", _coprime_product),
+    ("unique_3_with_4", _unique_3_with_4),
+    ("two_4s_with_3", _two_4s_with_3),
+    ("unique_3_two_6s", _unique_3_two_6s),
+    ("unique_4_with_3", _unique_4_with_3),
+    ("odd_4s", _odd_4s),
+    ("unique_6_repeated_3", _unique_6_repeated_3),
+    ("pattern_36666", _exact(3, 6, 6, 6, 6)),
+    ("pattern_445", _exact(4, 4, 5)),
+    ("pattern_448", _exact(4, 4, 8)),
+    ("pattern_34466", _exact(3, 4, 4, 6, 6)),
+)
+
+
+def oracle_fired(sig: Signature) -> tuple[str, ...]:
+    return tuple(rule_id for rule_id, predicate in ORACLE_RULES
+                 if predicate(sig))
+
+
+def test_oracle_covers_the_registry():
+    assert [rule_id for rule_id, _ in ORACLE_RULES] == RULE_IDS
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_fired_rules_match_oracle_on_candidates(delta):
+    for cand in enumerate_candidates(delta):
+        verdict = apply_rules(cand.signature)
+        assert verdict.fired_rules == oracle_fired(cand.signature), cand
+        assert verdict.excluded == bool(verdict.fired_rules)
+
+
+@given(st.lists(st.integers(3, 60), max_size=12).map(sorted))
+def test_fired_rules_match_oracle_on_random_signatures(entries):
+    sig = Signature(tuple(entries))
+    assert apply_rules(sig).fired_rules == oracle_fired(sig)
