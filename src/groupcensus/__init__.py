@@ -18,13 +18,13 @@ from .census import (CensusReport, Signature, census, count_solutions,
 from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, Verdict,
                         apply_rules, revised_table, rule_registry)
 from .expressions import GroupExpressionError, parse_group
-from .groups import (AutomorphismAction, GroupConstructionError, GroupTable,
-                     InvalidActionError, MAX_ORDER, Permutation, SubgroupSet,
-                     action_from_generator_images, direct_product,
-                     element_order, from_permutations, generated_subgroup,
-                     inversion_action, make_alternating, make_cyclic,
-                     make_dicyclic, make_dihedral, make_quasidihedral,
-                     make_symmetric, semidirect_product)
+from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
+                     MAX_ORDER, action_from_generator_images, cycle_string,
+                     direct_product, element_order, from_permutations,
+                     generated_subgroup, inversion_action, make_alternating,
+                     make_cyclic, make_dicyclic, make_dihedral,
+                     make_quasidihedral, make_symmetric, parse_generators,
+                     semidirect_product)
 from .isomorphism import (UnsupportedOrderError, center, conjugacy_classes,
                           derived_subgroup, extend_generator_map,
                           generating_set, is_isomorphic,
@@ -37,23 +37,23 @@ from .verify import (GroupRecipe, SurvivorReport, TheoremClaim, explore,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutomorphismAction", "Candidate", "CandidateRow", "CatalogEntry",
-    "CatalogError", "CensusReport", "CheckResult", "ClaimResult",
-    "EXPECTED_GROUP_COUNTS", "ExclusionRule", "GroupConstructionError",
-    "GroupExpressionError", "GroupRecipe", "GroupTable",
-    "InvalidActionError", "MAX_CATALOG_ORDER", "MAX_ORDER", "Permutation",
-    "RECORDED_JUSTIFICATIONS", "Signature", "SubgroupSet", "SurvivorReport",
+    "Candidate", "CandidateRow", "CatalogEntry", "CatalogError",
+    "CensusReport", "CheckResult", "ClaimResult", "EXPECTED_GROUP_COUNTS",
+    "ExclusionRule", "GroupConstructionError", "GroupExpressionError",
+    "GroupRecipe", "GroupTable", "InvalidActionError", "MAX_CATALOG_ORDER",
+    "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "Signature", "SurvivorReport",
     "TheoremClaim", "UnsupportedOrderError", "VerificationReport", "Verdict",
     "action_from_generator_images", "apply_rules", "catalog_search",
     "catalog_tables", "catalog_validate", "census", "center",
-    "conjugacy_classes", "count_solutions", "cyclic_subgroups",
-    "derived_subgroup", "direct_product", "element_order",
+    "conjugacy_classes", "count_solutions", "cycle_string",
+    "cyclic_subgroups", "derived_subgroup", "direct_product", "element_order",
     "enumerate_candidates", "euler_phi", "explore",
     "extend_generator_map", "from_permutations", "generated_subgroup",
     "generating_set", "integer_partitions", "inversion_action",
     "is_isomorphic", "isomorphism_classes", "known_groups_for",
     "load_catalog", "make_alternating", "make_cyclic", "make_dicyclic",
-    "make_dihedral", "make_quasidihedral", "make_symmetric", "parse_group",
-    "phi_inverse", "property_suite", "revised_table", "rule_registry",
-    "semidirect_product", "theorem_claims", "verify_all", "verify_theorem",
+    "make_dihedral", "make_quasidihedral", "make_symmetric",
+    "parse_generators", "parse_group", "phi_inverse", "property_suite",
+    "revised_table", "rule_registry", "semidirect_product",
+    "theorem_claims", "verify_all", "verify_theorem",
 ]

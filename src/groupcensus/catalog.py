@@ -9,13 +9,13 @@ the catalog provably complete through order 24.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations
 from typing import NamedTuple
 
 from .census import CensusReport, Signature, census
-from .groups import GroupTable, Permutation, from_permutations
+from .groups import GroupTable, from_permutations, parse_generators
 from .isomorphism import isomorphism_classes
 from .report import CheckResult, VerificationReport
 
@@ -41,7 +41,7 @@ class CatalogEntry(NamedTuple):
     order: int
     index: int
     label: str
-    generators: tuple[Permutation, ...]
+    generators: tuple[tuple[int, ...], ...]  # image tuples
 
     def build(self) -> GroupTable:
         """Close the generators and return the validated group table."""
@@ -63,7 +63,7 @@ def _parse_line(line: str, lineno: int) -> CatalogEntry:
         index = int(parts[1])
     except ValueError as err:
         raise CatalogError(f"line {lineno}: bad order/index: {err}") from None
-    gens = Permutation.from_generator_text(parts[3][len("gens="):])
+    gens = parse_generators(parts[3][len("gens="):])
     if not gens:
         raise CatalogError(f"line {lineno}: no generators given")
     return CatalogEntry(order, index, parts[2], gens)
@@ -71,8 +71,15 @@ def _parse_line(line: str, lineno: int) -> CatalogEntry:
 
 @lru_cache(maxsize=1)
 def load_catalog() -> tuple[CatalogEntry, ...]:
-    """Parse the bundled data file; ordered by (order, index)."""
-    text = resources.files("groupcensus.data").joinpath(DATA_FILE).read_text()
+    """Parse the bundled data file; ordered by (order, index).
+
+    The file is opened next to this module rather than through
+    ``importlib.resources``, whose import alone pulls in zipfile, tempfile
+    and the compression modules.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", DATA_FILE)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .groups import GroupConstructionError, GroupTable, SubgroupSet
+from .groups import GroupConstructionError, GroupTable
 
 
 def euler_phi(d: int) -> int:
@@ -150,8 +150,8 @@ class CensusReport(NamedTuple):
         }
 
 
-def cyclic_subgroups(g: GroupTable) -> set[SubgroupSet]:
-    """The set {<x> : x in G}, deduplicated by member set.
+def cyclic_subgroups(g: GroupTable) -> set[tuple[int, ...]]:
+    """The set {<x> : x in G}, each as its sorted member tuple.
 
     ``census`` counts the same subgroups from the element-order histogram;
     this set-based construction stays as the independent reference.  Raises
@@ -170,7 +170,7 @@ def cyclic_subgroups(g: GroupTable) -> set[SubgroupSet]:
             members.append(acc)
             acc = g.product[acc][x]
         found.add(tuple(sorted(members)))
-    return {SubgroupSet(g, members) for members in found}
+    return found
 
 
 def census(g: GroupTable) -> CensusReport:

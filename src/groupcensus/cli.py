@@ -109,19 +109,28 @@ def _partition_rows(delta: int, cands: list[Candidate]) -> list[tuple[str, str]]
             for p, sigs in by_partition.items()]
 
 
-def _emit_partition_latex(out, delta: int, cands: list[Candidate]) -> None:
+def _emit_latex_table(out, caption: str, columns: str, header: str,
+                      body_lines: list[str]) -> None:
+    """One LaTeX table; the body lines carry their own ``\\hline`` rows."""
     _emit(out, "\\begin{table}[ht]")
-    _emit(out, f"\\caption{{Table for $\\Delta(G)={delta}$}}")
+    _emit(out, f"\\caption{{{caption}}}")
     _emit(out, "\\centering")
-    _emit(out, "\\begin{tabular}{|c|c|}")
+    _emit(out, f"\\begin{{tabular}}{{{columns}}}")
     _emit(out, "\\hline")
-    _emit(out, "Partition & $\\sigma(G)$ \\\\")
+    _emit(out, f"{header} \\\\")
     _emit(out, "\\hline")
-    for partition, body in _partition_rows(delta, cands):
-        _emit(out, f"{partition} & {body} \\\\")
-        _emit(out, "\\hline")
+    for line in body_lines:
+        _emit(out, line)
     _emit(out, "\\end{tabular}")
     _emit(out, "\\end{table}")
+
+
+def _emit_partition_latex(out, delta: int, cands: list[Candidate]) -> None:
+    body = []
+    for partition, sigs in _partition_rows(delta, cands):
+        body += [f"{partition} & {sigs} \\\\", "\\hline"]
+    _emit_latex_table(out, f"Table for $\\Delta(G)={delta}$", "|c|c|",
+                      "Partition & $\\sigma(G)$", body)
 
 
 def _cmd_candidates(args, out) -> int:
@@ -178,33 +187,21 @@ def _cmd_exclude(args, out) -> int:
         return 0
     if args.format == "latex":
         _emit_partition_latex(out, args.delta, cands)
-        _emit(out, "\\begin{table}[ht]")
-        _emit(out, f"\\caption{{Exclusion table for $\\Delta(G)={args.delta}$}}")
-        _emit(out, "\\centering")
-        _emit(out, "\\begin{tabular}{|c|l|}")
-        _emit(out, "\\hline")
-        _emit(out, "$\\sigma(G)$ & Excluded by \\\\")
-        _emit(out, "\\hline")
+        body = []
         for v in excluded:
             rule = (v.recorded_rule or v.fired_rules[0]).replace("_", "\\_")
-            _emit(out, f"{_sig_str(v.signature.entries)} & {rule} \\\\")
-        _emit(out, "\\hline")
-        _emit(out, "\\end{tabular}")
-        _emit(out, "\\end{table}")
-        _emit(out, "\\begin{table}[ht]")
-        _emit(out, f"\\caption{{Revised table for $\\Delta(G)={args.delta}$}}")
-        _emit(out, "\\centering")
-        _emit(out, "\\begin{tabular}{|c|c|}")
-        _emit(out, "\\hline")
-        _emit(out, "$\\sigma(G)$ & Groups \\\\")
-        _emit(out, "\\hline")
+            body.append(f"{_sig_str(v.signature.entries)} & {rule} \\\\")
+        _emit_latex_table(
+            out, f"Exclusion table for $\\Delta(G)={args.delta}$", "|c|l|",
+            "$\\sigma(G)$ & Excluded by", body + ["\\hline"])
+        body = []
         for sig in survivors:
             known = known_groups_for(sig)
-            body = ", ".join(r.label for r in known) if known else ""
-            _emit(out, f"{_sig_str(sig.entries)} & {body} \\\\")
-        _emit(out, "\\hline")
-        _emit(out, "\\end{tabular}")
-        _emit(out, "\\end{table}")
+            groups = ", ".join(r.label for r in known) if known else ""
+            body.append(f"{_sig_str(sig.entries)} & {groups} \\\\")
+        _emit_latex_table(
+            out, f"Revised table for $\\Delta(G)={args.delta}$", "|c|c|",
+            "$\\sigma(G)$ & Groups", body + ["\\hline"])
         return 0
     _emit(out, f"delta = {args.delta}: {len(cands)} candidates,"
                f" {len(excluded)} excluded, {len(survivors)} survivors")

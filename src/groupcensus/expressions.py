@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import re
 
-from .groups import (GroupTable, Permutation, direct_product,
-                     from_permutations, inversion_action, make_alternating,
-                     make_cyclic, make_dicyclic, make_dihedral,
-                     make_quasidihedral, make_symmetric, semidirect_product)
+from .groups import (GroupTable, direct_product, from_permutations,
+                     inversion_action, make_alternating, make_cyclic,
+                     make_dicyclic, make_dihedral, make_quasidihedral,
+                     make_symmetric, parse_generators, semidirect_product)
 
 
 class GroupExpressionError(ValueError):
@@ -119,8 +119,7 @@ class _Parser:
         body = self.text[self.pos:end]
         self.pos = end + 1
         try:
-            gens = Permutation.from_generator_text(body)
-            return from_permutations(gens, name="perm")
+            return from_permutations(parse_generators(body), name="perm")
         except ValueError as err:
             raise self.error(str(err)) from None
 

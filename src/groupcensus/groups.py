@@ -24,111 +24,49 @@ class InvalidActionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# permutations, stored as image tuples: p maps point i to p[i]
 
 
-class Permutation:
-    """A bijection of 0..degree-1, used for generators and automorphisms.
+def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse ``;``-separated cycle strings like ``(0 1 2)(3 4)`` into image
+    tuples.
 
-    Compared and hashed by its images; treated as immutable.
+    Only the points that some generator moves are kept, numbered 0..k-1
+    in ascending order, so the cost follows the length of the text and
+    not the largest point; fixed points and renumbering change neither
+    the group nor the table ``from_permutations`` builds.  Empty chunks
+    are skipped, so a blank text gives no generators.
     """
+    chunks = [c.strip() for c in text.split(";")]
+    gens = [_moving_cycles(_parse_cycle_text(c)) for c in chunks if c]
+    moved = sorted({p for cycles in gens for cycle in cycles
+                    for p in cycle})
+    label = {p: i for i, p in enumerate(moved)}
+    out = []
+    for cycles in gens:
+        images = list(range(max(len(moved), 1)))
+        for cycle in cycles:
+            for i, p in enumerate(cycle):
+                images[label[p]] = label[cycle[(i + 1) % len(cycle)]]
+        out.append(tuple(images))
+    return tuple(out)
 
-    __slots__ = ("images",)
 
-    def __init__(self, images: tuple[int, ...]) -> None:
-        n = len(images)
-        if n == 0:
-            raise ValueError("permutation degree must be positive")
-        if sorted(images) != list(range(n)):
-            raise ValueError(f"images {images} are not a bijection of 0..{n - 1}")
-        self.images = images
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
-        """Parse cycle notation like ``(0 1 2)(3 4)`` with 0-based points.
-
-        The degree defaults to the largest point mentioned plus one; ``()``
-        denotes the identity.
-        """
-        cycles = _parse_cycle_text(text)
-        top = max((p for cycle in cycles for p in cycle), default=0)
-        if degree is None:
-            degree = top + 1
-        elif top >= degree:
-            raise ValueError(f"point {top} exceeds degree {degree}")
-        return cls(_cycle_images(_moving_cycles(cycles), degree))
-
-    @classmethod
-    def from_generator_text(cls, text: str) -> tuple["Permutation", ...]:
-        """Parse ``;``-separated cycle strings into permutations.
-
-        Only the points that some generator moves are kept, numbered 0..k-1
-        in ascending order, so the cost follows the length of the text and
-        not the largest point; fixed points and renumbering change neither
-        the group nor the table ``from_permutations`` builds.  Empty chunks
-        are skipped, so a blank text gives no generators.
-        """
-        chunks = [c.strip() for c in text.split(";")]
-        gens = [_moving_cycles(_parse_cycle_text(c)) for c in chunks if c]
-        moved = sorted({p for cycles in gens for cycle in cycles
-                        for p in cycle})
-        label = {p: i for i, p in enumerate(moved)}
-        degree = max(len(moved), 1)
-        return tuple(
-            cls(_cycle_images([[label[p] for p in cycle] for cycle in cycles],
-                              degree))
-            for cycles in gens)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: ``(self . other)(x) = self(other(x))``."""
-        if other.degree != self.degree:
-            raise ValueError("cannot compose permutations of different degree")
-        return Permutation(tuple(self.images[i] for i in other.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Permutation(tuple(images))
-
-    def cycle_string(self) -> str:
-        cycles = []
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cycle = [start]
-            seen[start] = True
-            p = self.images[start]
-            while p != start:
-                cycle.append(p)
-                seen[p] = True
-                p = self.images[p]
-            cycles.append("(" + " ".join(str(q) for q in cycle) + ")")
-        return "".join(cycles) if cycles else "()"
+def cycle_string(images: Sequence[int]) -> str:
+    """Cycle notation of a permutation, as ``parse_generators`` reads it;
+    fixed points are left out and the identity is ``()``."""
+    cycles = []
+    seen: set[int] = set()
+    for start, p in enumerate(images):
+        if p == start or start in seen:
+            continue
+        cycle = [start]
+        while p != start:
+            cycle.append(p)
+            p = images[p]
+        seen.update(cycle)
+        cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "()"
 
 
 def _moving_cycles(cycles: list[list[int]]) -> list[list[int]]:
@@ -146,14 +84,6 @@ def _moving_cycles(cycles: list[list[int]]) -> list[list[int]]:
             moved.update(cycle)
             moving.append(cycle)
     return moving
-
-
-def _cycle_images(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
-    images = list(range(degree))
-    for cycle in cycles:
-        for i, p in enumerate(cycle):
-            images[p] = cycle[(i + 1) % len(cycle)]
-    return tuple(images)
 
 
 def _parse_cycle_text(text: str) -> list[list[int]]:
@@ -280,34 +210,6 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
                     f"associativity fails at ({a}, {b})")
 
 
-class SubgroupSet:
-    """A subset of a group's element indices closed under its product.
-
-    Compared and hashed by its members alone, not by the parent group.
-    """
-
-    __slots__ = ("parent", "members")
-
-    def __init__(self, parent: GroupTable, members: tuple[int, ...]) -> None:
-        self.parent = parent
-        self.members = members
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-
 # ---------------------------------------------------------------------------
 # element-level operations
 
@@ -319,8 +221,8 @@ def element_order(g: GroupTable, x: int) -> int:
     return g.element_orders()[x]
 
 
-def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
-    """Smallest subgroup of g containing the seed elements."""
+def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
+    """The members of the smallest subgroup of g containing the seeds, sorted."""
     seeds = sorted(set(seed))
     for x in seeds:
         if not 0 <= x < g.order:
@@ -335,7 +237,7 @@ def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> SubgroupSet:
             if t not in members:
                 members.add(t)
                 frontier.append(t)
-    return SubgroupSet(g, tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +252,22 @@ def make_cyclic(n: int) -> GroupTable:
     return GroupTable(rows, name=f"C{n}")
 
 
+def _metacyclic(n: int, t: int, z: int, name: str) -> GroupTable:
+    """<r, s | r^n = 1, s^2 = r^z, s r s^-1 = r^t> of order 2n, where
+    t^2 = 1 and t*z = z modulo n.
+
+    Indices: r^i -> i, s r^i -> n + i, so r^i s = s r^(t*i).
+    """
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][j] = (i + j) % n
+            rows[i][n + j] = n + (t * i + j) % n
+            rows[n + i][j] = n + (i + j) % n
+            rows[n + i][n + j] = (z + t * i + j) % n
+    return GroupTable(rows, name=name)
+
+
 def make_dihedral(two_n: int) -> GroupTable:
     """Dihedral group of order two_n: <r, s | r^n = s^2 = 1, s r s = r^-1>.
 
@@ -359,16 +277,7 @@ def make_dihedral(two_n: int) -> GroupTable:
     if two_n % 2 != 0 or not 2 <= two_n <= MAX_ORDER:
         raise ValueError(f"dihedral order must be even and in 2..{MAX_ORDER},"
                          f" got {two_n}")
-    n = two_n // 2
-    # indices: r^i -> i, s r^i -> n + i
-    rows = [[0] * two_n for _ in range(two_n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = (i + j) % n
-            rows[i][n + j] = n + (j - i) % n
-            rows[n + i][j] = n + (i + j) % n
-            rows[n + i][n + j] = (j - i) % n
-    return GroupTable(rows, name=f"D{two_n}")
+    return _metacyclic(two_n // 2, -1, 0, f"D{two_n}")
 
 
 def make_dicyclic(four_n: int) -> GroupTable:
@@ -380,17 +289,7 @@ def make_dicyclic(four_n: int) -> GroupTable:
     if four_n % 4 != 0 or not 8 <= four_n <= MAX_ORDER:
         raise ValueError(f"dicyclic order must be a multiple of 4 in"
                          f" 8..{MAX_ORDER}, got {four_n}")
-    m = four_n // 4
-    two_m = 2 * m
-    # indices: a^i -> i, b a^i -> 2m + i
-    rows = [[0] * four_n for _ in range(four_n)]
-    for i in range(two_m):
-        for j in range(two_m):
-            rows[i][j] = (i + j) % two_m
-            rows[i][two_m + j] = two_m + (j - i) % two_m
-            rows[two_m + i][j] = two_m + (i + j) % two_m
-            rows[two_m + i][two_m + j] = (m + j - i) % two_m
-    return GroupTable(rows, name=f"Q{four_n}")
+    return _metacyclic(four_n // 2, -1, four_n // 4, f"Q{four_n}")
 
 
 def make_quasidihedral(two_k: int) -> GroupTable:
@@ -401,17 +300,7 @@ def make_quasidihedral(two_k: int) -> GroupTable:
     if two_k < 16 or two_k > MAX_ORDER or two_k & (two_k - 1):
         raise ValueError(f"quasidihedral order must be a power of 2 in"
                          f" 16..{MAX_ORDER}, got {two_k}")
-    n = two_k // 2
-    t = two_k // 4 - 1
-    # indices: r^i -> i, s r^i -> n + i; r^i s = s r^(t*i)
-    rows = [[0] * two_k for _ in range(two_k)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = (i + j) % n
-            rows[i][n + j] = n + (t * i + j) % n
-            rows[n + i][j] = n + (i + j) % n
-            rows[n + i][n + j] = (t * i + j) % n
-    return GroupTable(rows, name=f"SD{two_k}")
+    return _metacyclic(two_k // 2, two_k // 4 - 1, 0, f"SD{two_k}")
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -420,9 +309,9 @@ def make_symmetric(n: int) -> GroupTable:
         raise ValueError(f"symmetric group supported for degree 1..4, got {n}")
     if n == 1:
         return make_cyclic(1).renamed("S1")
-    gens = [Permutation.from_cycles("(" + " ".join(map(str, range(n))) + ")"),
-            Permutation.from_cycles("(0 1)", degree=n)]
-    return from_permutations(gens, name=f"S{n}")
+    # the n-cycle (0 1 ... n-1) and the transposition (0 1)
+    return from_permutations([(*range(1, n), 0), (1, 0, *range(2, n))],
+                             name=f"S{n}")
 
 
 def make_alternating(n: int) -> GroupTable:
@@ -432,52 +321,46 @@ def make_alternating(n: int) -> GroupTable:
     if n <= 2:
         return make_cyclic(1).renamed(f"A{n}")
     if n == 3:
-        return from_permutations([Permutation.from_cycles("(0 1 2)")], name="A3")
-    gens = [Permutation.from_cycles("(0 1 2)", degree=4),
-            Permutation.from_cycles("(1 2 3)", degree=4)]
-    return from_permutations(gens, name="A4")
+        return from_permutations([(1, 2, 0)], name="A3")
+    # (0 1 2) and (1 2 3)
+    return from_permutations([(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Componentwise product on pairs, encoded as index(x, y) = x*|b| + y."""
-    order = a.order * b.order
-    if order > MAX_ORDER:
-        raise ValueError(f"product order {order} exceeds {MAX_ORDER}")
-    nb = b.order
-    rows = [[0] * order for _ in range(order)]
-    for x1 in range(a.order):
-        for y1 in range(nb):
-            row = rows[x1 * nb + y1]
-            arow, brow = a.product[x1], b.product[y1]
-            for x2 in range(a.order):
-                base = arow[x2] * nb
-                for y2 in range(nb):
-                    row[x2 * nb + y2] = base + brow[y2]
-    return GroupTable(rows, name=f"{a.name}x{b.name}")
+    ident = tuple(range(a.order))
+    return GroupTable(_semidirect_rows(a, b, (ident,) * b.order),
+                      name=f"{a.name}x{b.name}")
 
 
-def from_permutations(gens: Sequence[Permutation], name: str = "G") -> GroupTable:
+def from_permutations(gens: Sequence[Sequence[int]],
+                      name: str = "G") -> GroupTable:
     """Close a generating set of permutations and extract the Cayley table.
 
+    Each generator is an image tuple, ``p[i]`` the image of point i.
     Elements are indexed in breadth-first discovery order with the identity
     first, so the result is deterministic in the generator order.
     """
     if not gens:
         return make_cyclic(1).renamed(name)
-    degree = gens[0].degree
-    if any(p.degree != degree for p in gens):
-        raise ValueError("all generators must share a degree")
-    # close over raw image tuples; q = tuple(e[i] for i in p) is e.compose(p).
+    degree = len(gens[0])
+    points = list(range(degree))
+    for p in gens:
+        if len(p) != degree:
+            raise ValueError("all generators must share a degree")
+        if sorted(p) != points:
+            raise ValueError(f"images {tuple(p)} are not a bijection of"
+                             f" 0..{degree - 1}")
+    # close over raw image tuples; q = tuple(e[i] for i in p) is e after p.
     # The closure is the right Cayley graph: right[k][e] is the index of
     # e.g_k, and every element b > 0 was first reached as parent[b].g_via[b].
-    images = [p.images for p in gens]
-    ident = tuple(range(degree))
+    ident = tuple(points)
     elements = [ident]
     index = {ident: 0}
-    right: list[list[int]] = [[] for _ in images]
+    right: list[list[int]] = [[] for _ in gens]
     parent, via = [0], [0]
     for cursor, e in enumerate(elements):  # grows while it is walked
-        for k, p in enumerate(images):
+        for k, p in enumerate(gens):
             q = tuple(e[i] for i in p)
             j = index.get(q)
             if j is None:
@@ -504,84 +387,42 @@ def from_permutations(gens: Sequence[Permutation], name: str = "G") -> GroupTabl
 
 # ---------------------------------------------------------------------------
 # automorphism actions and semidirect products
+#
+# An action of H on N is a tuple of image tuples: action[k] is the
+# automorphism of N by which element k of H acts.
 
 
-class AutomorphismAction:
-    """An action of one group on another by automorphisms.
-
-    ``maps[h]`` is the permutation of the target's elements by which element
-    h of the acting group acts.  Every map must be an automorphism and the
-    assignment h -> maps[h] a homomorphism; both are checked at construction.
-    """
-
-    __slots__ = ("acting", "target", "maps")
-
-    def __init__(self, acting: GroupTable, target: GroupTable,
-                 maps: tuple[Permutation, ...]) -> None:
-        h, n = acting, target
-        if len(maps) != h.order:
-            raise InvalidActionError(
-                f"expected {h.order} maps, got {len(maps)}")
-        for k, p in enumerate(maps):
-            if p.degree != n.order:
-                raise InvalidActionError(
-                    f"map for element {k} has degree {p.degree},"
-                    f" expected {n.order}")
-            if p(0) != 0:
-                raise InvalidActionError(
-                    f"map for element {k} moves the identity")
-            img = p.images
-            for x in range(n.order):
-                row = n.product[x]
-                irow = n.product[img[x]]
-                for y in range(n.order):
-                    if img[row[y]] != irow[img[y]]:
-                        raise InvalidActionError(
-                            f"map for element {k} does not preserve products"
-                            f" at ({x}, {y})")
-        for k1 in range(h.order):
-            for k2 in range(h.order):
-                composed = maps[k1].compose(maps[k2])
-                if composed != maps[h.product[k1][k2]]:
-                    raise InvalidActionError(
-                        f"maps do not define a homomorphism:"
-                        f" map[{k1}*{k2}] != map[{k1}] o map[{k2}]")
-        self.acting = acting
-        self.target = target
-        self.maps = maps
-
-
-def inversion_action(a: GroupTable) -> AutomorphismAction:
+def inversion_action(a: GroupTable) -> tuple[tuple[int, ...], ...]:
     """The C2-action on an abelian group sending every element to its inverse."""
     if not a.is_abelian:
         raise InvalidActionError(
             f"inversion is not an automorphism of the nonabelian group {a.name}")
-    inv = Permutation(tuple(a.inverse))
-    return AutomorphismAction(make_cyclic(2), a,
-                              (Permutation.identity(a.order), inv))
+    return tuple(range(a.order)), tuple(a.inverse)
 
 
 def action_from_generator_images(acting: GroupTable, target: GroupTable,
-                                 images: dict[int, Permutation]) -> AutomorphismAction:
+                                 images: dict[int, Sequence[int]],
+                                 ) -> tuple[tuple[int, ...], ...]:
     """Extend automorphism images of generators of the acting group.
 
-    ``images`` assigns a permutation of the target to each generator; the
-    rest of the action is forced by the homomorphism property.  Raises if
-    the given elements do not generate the acting group or the assignment
-    is inconsistent.
+    ``images`` assigns an image tuple on the target's elements to each
+    generator; the rest of the action is forced by the homomorphism
+    property.  Raises if the given elements do not generate the acting
+    group or the assignment is inconsistent; ``semidirect_product`` checks
+    that every map is an automorphism.
     """
     degree = target.order
-    maps: dict[int, Permutation] = {0: Permutation.identity(degree)}
+    maps = {0: tuple(range(degree))}
     for k, p in images.items():
-        if p.degree != degree:
+        if len(p) != degree:
             raise InvalidActionError(
-                f"image for generator {k} has degree {p.degree}, expected {degree}")
+                f"image for generator {k} has degree {len(p)}, expected {degree}")
     frontier = [0]
     while frontier:
         h = frontier.pop()
         for k, p in images.items():
             hk = acting.product[h][k]
-            composed = maps[h].compose(p)
+            composed = tuple(maps[h][i] for i in p)
             if hk in maps:
                 if maps[hk] != composed:
                     raise InvalidActionError(
@@ -593,21 +434,57 @@ def action_from_generator_images(acting: GroupTable, target: GroupTable,
         raise InvalidActionError(
             f"given generators only reach {len(maps)} of"
             f" {acting.order} acting elements")
-    return AutomorphismAction(acting, target,
-                              tuple(maps[h] for h in range(acting.order)))
+    return tuple(maps[h] for h in range(acting.order))
+
+
+def _check_action(n: GroupTable, h: GroupTable,
+                  maps: tuple[tuple[int, ...], ...]) -> None:
+    """Every map an automorphism of n, and k -> maps[k] a homomorphism of h."""
+    if len(maps) != h.order:
+        raise InvalidActionError(f"expected {h.order} maps, got {len(maps)}")
+    points = list(range(n.order))
+    for k, img in enumerate(maps):
+        if len(img) != n.order:
+            raise InvalidActionError(
+                f"map for element {k} has degree {len(img)},"
+                f" expected {n.order}")
+        if sorted(img) != points:
+            raise InvalidActionError(
+                f"map for element {k} is not a bijection of 0..{n.order - 1}")
+        if img[0] != 0:
+            raise InvalidActionError(f"map for element {k} moves the identity")
+        for x in points:
+            row = n.product[x]
+            irow = n.product[img[x]]
+            for y in points:
+                if img[row[y]] != irow[img[y]]:
+                    raise InvalidActionError(
+                        f"map for element {k} does not preserve products"
+                        f" at ({x}, {y})")
+    for k1 in range(h.order):
+        for k2 in range(h.order):
+            if tuple(maps[k1][i] for i in maps[k2]) != maps[h.product[k1][k2]]:
+                raise InvalidActionError(
+                    f"maps do not define a homomorphism:"
+                    f" map[{k1}*{k2}] != map[{k1}] o map[{k2}]")
 
 
 def semidirect_product(n: GroupTable, h: GroupTable,
-                       action: AutomorphismAction) -> GroupTable:
+                       action: Sequence[Sequence[int]]) -> GroupTable:
     """Semidirect product N x| H with (x1,k1)(x2,k2) = (x1*k1(x2), k1*k2).
 
-    Pairs are encoded as index(x, k) = x*|h| + k, so a trivial action
-    reproduces ``direct_product(n, h)`` exactly.
+    ``action[k]`` is the image tuple of the automorphism of N by which
+    element k of H acts; it is checked first.  Pairs are encoded as
+    index(x, k) = x*|h| + k, so a trivial action reproduces
+    ``direct_product(n, h)`` exactly.
     """
-    if action.target.product != n.product:
-        raise InvalidActionError("action target does not match the normal factor")
-    if action.acting.product != h.product:
-        raise InvalidActionError("action source does not match the acting factor")
+    maps = tuple(tuple(m) for m in action)
+    _check_action(n, h, maps)
+    return GroupTable(_semidirect_rows(n, h, maps), name=f"({n.name}):{h.name}")
+
+
+def _semidirect_rows(n: GroupTable, h: GroupTable,
+                     maps: Sequence[Sequence[int]]) -> list[list[int]]:
     order = n.order * h.order
     if order > MAX_ORDER:
         raise ValueError(f"product order {order} exceeds {MAX_ORDER}")
@@ -616,11 +493,11 @@ def semidirect_product(n: GroupTable, h: GroupTable,
     for x1 in range(n.order):
         for k1 in range(nh):
             row = rows[x1 * nh + k1]
-            act = action.maps[k1].images
+            act = maps[k1]
             nrow = n.product[x1]
             hrow = h.product[k1]
             for x2 in range(n.order):
                 base = nrow[act[x2]] * nh
                 for k2 in range(nh):
                     row[x2 * nh + k2] = base + hrow[k2]
-    return GroupTable(rows, name=f"({n.name}):{h.name}")
+    return rows

@@ -34,7 +34,7 @@ def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
             xy = g.product[x][y]
             yx = g.product[y][x]
             commutators.add(g.product[xy][g.inverse[yx]])
-    return generated_subgroup(g, commutators).members
+    return generated_subgroup(g, commutators)
 
 
 def conjugacy_classes(g: GroupTable) -> list[tuple[int, ...]]:
@@ -60,7 +60,7 @@ def generating_set(g: GroupTable) -> list[int]:
         for x in range(g.order):
             if x in closed:
                 continue
-            closure = frozenset(generated_subgroup(g, gens + [x]).members)
+            closure = frozenset(generated_subgroup(g, gens + [x]))
             if len(closure) > len(best_closure):
                 best, best_closure = x, closure
                 if len(best_closure) == g.order:

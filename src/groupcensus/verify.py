@@ -18,8 +18,8 @@ from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
                       catalog_validate)
 from .census import (CensusReport, Signature, census, count_solutions,
                      euler_phi)
-from .exclusion import apply_rules, revised_table
-from .groups import (GroupTable, InvalidActionError, Permutation,
+from .exclusion import revised_table
+from .groups import (GroupTable, InvalidActionError,
                      action_from_generator_images, direct_product,
                      generated_subgroup, inversion_action, make_alternating,
                      make_cyclic, make_dicyclic, make_dihedral,
@@ -48,7 +48,7 @@ def _klein_by_c4() -> GroupTable:
     klein = direct_product(make_cyclic(2), make_cyclic(2))
     # klein indices: 1 = b, 2 = a, 3 = ab; the acting c fixes a, b -> ab
     action = action_from_generator_images(
-        make_cyclic(4), klein, {1: Permutation((0, 3, 2, 1))})
+        make_cyclic(4), klein, {1: (0, 3, 2, 1)})
     return semidirect_product(klein, make_cyclic(4), action).renamed("(C2xC2):C4")
 
 
@@ -62,7 +62,7 @@ def _q8_by_c2() -> GroupTable:
         raise InvalidActionError(
             "a -> a, b -> a^2 b does not extend to an automorphism of Q8")
     action = action_from_generator_images(
-        make_cyclic(2), q8, {1: Permutation(tuple(images))})
+        make_cyclic(2), q8, {1: images})
     return semidirect_product(q8, make_cyclic(2), action).renamed("Q8:C2")
 
 
@@ -322,7 +322,7 @@ def _least_generators_by_subgroup(table: GroupTable) -> list[int]:
     for x in range(table.order):
         if orders[x] <= 2:
             continue
-        members = generated_subgroup(table, [x]).members
+        members = generated_subgroup(table, [x])
         reps.setdefault(members, x)
     return sorted(reps.values())
 
@@ -335,8 +335,7 @@ def _check_sigma_generators_index() -> CheckResult:
         if not 1 <= rep.delta <= 5:
             continue
         gens = _least_generators_by_subgroup(table)
-        sub = generated_subgroup(table, gens)
-        index = table.order // sub.order
+        index = table.order // len(generated_subgroup(table, gens))
         if index not in (1, 2):
             return CheckResult(
                 "sigma_generators_index", False,
@@ -374,7 +373,7 @@ def _check_order4_squares() -> CheckResult:
         orders = table.element_orders()
         fours = [x for x in range(table.order) if orders[x] == 4]
         for s in fours:
-            cyc = set(generated_subgroup(table, [s]).members)
+            cyc = set(generated_subgroup(table, [s]))
             s2 = table.product[s][s]
             for t in fours:
                 if t == s:
@@ -427,17 +426,12 @@ def explore(delta: int) -> list[SurvivorReport]:
     Beyond delta = 5 the rule set is sound but not complete, so survivors
     without a known list are undecided rather than realizable.
     """
-    from .candidates import enumerate_candidates
-
-    candidates = enumerate_candidates(delta)
+    survivors = revised_table(delta)
     witnesses_by_sigma: dict[Signature, list] = {}
     for entry, _table, rep in catalog_tables():
         witnesses_by_sigma.setdefault(rep.signature, []).append((entry, rep))
     out = []
-    for candidate in candidates:
-        sig = candidate.signature
-        if apply_rules(sig).excluded:
-            continue
+    for sig in survivors:
         witnesses = tuple(witnesses_by_sigma.get(sig, ()))
         known = known_groups_for(sig)
         labels = tuple(r.label for r in known) if known is not None else None

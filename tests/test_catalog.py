@@ -1,5 +1,11 @@
 """The bundled catalog: loading, validation and search."""
 
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from test_isomorphism import relabelled
 
@@ -16,6 +22,33 @@ def test_load_shape():
     keys = [(e.order, e.index) for e in entries]
     assert keys == sorted(keys)
     assert all(1 <= e.order <= 24 for e in entries)
+
+
+def test_load_imports_no_archive_modules():
+    # importlib.resources would pull these in; a plain interpreter (-S, no
+    # site hooks) shows what loading the catalog itself imports
+    heavy = ("zipfile", "tempfile", "shutil", "random", "bz2", "lzma")
+    code = ("import sys\n"
+            "from groupcensus.catalog import load_catalog\n"
+            "assert len(load_catalog()) == 74\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(groupcensus.catalog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
+def test_generator_reproduces_bundled_file():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_catalog", root / "tools" / "make_catalog.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    bundled = pathlib.Path(groupcensus.catalog.__file__).parent / "data" / (
+        groupcensus.catalog.DATA_FILE)
+    assert tool.render() == bundled.read_text(encoding="utf-8")
 
 
 def test_expected_counts_table():

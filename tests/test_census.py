@@ -30,7 +30,7 @@ def phi_oracle(n):
 
 def census_oracle(g):
     """n_d from the set of cyclic subgroups, never from element orders."""
-    return dict(Counter(s.order for s in cyclic_subgroups(g)))
+    return dict(Counter(len(s) for s in cyclic_subgroups(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +111,16 @@ def test_cyclic_subgroup_counts():
     assert len(cyclic_subgroups(klein)) == 4
     q8_subs = cyclic_subgroups(make_dicyclic(8))
     assert len(q8_subs) == 5
-    assert sorted(s.order for s in q8_subs) == [1, 2, 4, 4, 4]
+    assert sorted(len(s) for s in q8_subs) == [1, 2, 4, 4, 4]
     assert len(cyclic_subgroups(make_dihedral(12))) == 10
 
 
 def test_cyclic_subgroups_contain_trivial_and_are_closed():
     g = make_symmetric(4)
     subs = cyclic_subgroups(g)
-    assert any(s.members == (0,) for s in subs)
+    assert (0,) in subs
     for s in subs:
-        members = set(s.members)
+        members = set(s)
         assert all(g.product[a][b] in members for a in members for b in members)
 
 

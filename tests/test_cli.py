@@ -10,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcensus import cli
 from groupcensus.report import CheckResult, VerificationReport
@@ -213,3 +215,32 @@ def test_cli_import_loads_no_heavy_modules():
     added = set(child.stdout.split())
     assert "groupcensus.cli" in added
     assert not added & {"dataclasses", "inspect", "json"}
+
+
+# well-formed expressions over valid and out-of-range names and random
+# cycles, fragments of the language, and raw characters
+_CYCLES = st.lists(st.lists(st.integers(0, 12), max_size=5), max_size=3).map(
+    lambda cycles: "".join("(" + " ".join(map(str, c)) + ")" for c in cycles))
+_LEAVES = st.one_of(
+    st.sampled_from(["C1", "C2", "C3", "C4", "C6", "D6", "D8", "Q8", "SD16",
+                     "S3", "S4", "A4", "C0", "C65", "D7", "SD8", "S5"]),
+    st.lists(_CYCLES, max_size=3).map(lambda gens: f"perm[{';'.join(gens)}]"))
+_EXPRESSIONS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, inner).map(lambda pair: f"{pair[0]} x {pair[1]}"),
+    st.tuples(inner, inner).map(lambda pair: f"sd({pair[0]}, {pair[1]}, inv)")),
+    max_leaves=4)
+_PIECES = st.sampled_from(["C4", "Q8", "x", "sd(", ",", "inv", ")", "perm[",
+                           "]", "(0 1)", "(0 0)", "(9 200000)", ";", "(", " ",
+                           "-", "7", ""])
+_EXPRESSION_TEXT = st.one_of(
+    _EXPRESSIONS,
+    st.lists(_PIECES, max_size=12).map("".join),
+    st.text(alphabet="CDQSAxsdpermiv(),;[] 0123456789-", max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRESSION_TEXT)
+def test_analyze_fuzz_exits_0_or_2(text):
+    # any expression or cycle text parses to a census or a usage error,
+    # never a traceback
+    assert run_cli("analyze", text)[0] in (0, 2)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import pathlib
 import sys
 
-from groupcensus import (GroupTable, Permutation,
-                         action_from_generator_images, direct_product,
+from groupcensus import (GroupTable, action_from_generator_images,
+                         cycle_string, direct_product,
                          extend_generator_map, generating_set,
                          inversion_action, make_alternating, make_cyclic,
                          make_dicyclic, make_dihedral, make_quasidihedral,
@@ -29,8 +29,8 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / (
 def cyclic_power_action(normal: GroupTable, acting: GroupTable,
                         image_of_generator: int):
     """Action of a cyclic group whose generator (index 1) maps x -> x^k."""
-    perm = Permutation(tuple(normal.power(x, image_of_generator)
-                             for x in range(normal.order)))
+    perm = tuple(normal.power(x, image_of_generator)
+                 for x in range(normal.order))
     return action_from_generator_images(acting, normal, {1: perm})
 
 
@@ -89,7 +89,7 @@ def sl23() -> GroupTable:
     images = extend_generator_map(q8, q8, {1: 4, 4: 5})
     assert images is not None
     action = action_from_generator_images(
-        make_cyclic(3), q8, {1: Permutation(tuple(images))})
+        make_cyclic(3), q8, {1: images})
     return semidirect_product(q8, make_cyclic(3), action)
 
 
@@ -97,10 +97,9 @@ def c3_by_d8() -> GroupTable:
     # C3 : D8 where the rotation inverts and the reflection fixes C3
     c3 = make_cyclic(3)
     d8 = make_dihedral(8)
-    inv = Permutation(tuple(c3.inverse))
-    ident = Permutation.identity(3)
     # d8 indices: r = 1, s = 4
-    action = action_from_generator_images(d8, c3, {1: inv, 4: ident})
+    action = action_from_generator_images(
+        d8, c3, {1: tuple(c3.inverse), 4: (0, 1, 2)})
     return semidirect_product(c3, d8, action)
 
 
@@ -184,7 +183,8 @@ GROUPS: list[tuple[int, str, object]] = [
 ]
 
 
-def main() -> int:
+def render() -> str:
+    """The text of the catalog data file."""
     lines = ["# Every isomorphism type of group of order <= 24.",
              "# Format: order index label gens=(cycles);(cycles)...",
              "# Generators act on the group's own elements by left"
@@ -196,12 +196,15 @@ def main() -> int:
         if table.order != order:
             raise SystemExit(f"{label}: built order {table.order}, wanted {order}")
         gens = generating_set(table) or [0]
-        perms = [Permutation(tuple(table.product[g])) for g in gens]
-        gens_text = ";".join(p.cycle_string() for p in perms)
+        gens_text = ";".join(cycle_string(table.product[g]) for g in gens)
         idx = index.get(order, 0)
         index[order] = idx + 1
         lines.append(f"{order} {idx} {label} gens={gens_text}")
-    OUT.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    OUT.write_text(render())
     print(f"wrote {len(GROUPS)} entries to {OUT}")
     return 0
 
