@@ -109,10 +109,17 @@ def catalog_tables() -> list[tuple[CatalogEntry, GroupTable, CensusReport]]:
 def catalog_search(max_order: int, delta: int | None = None,
                    sigma: Signature | None = None,
                    ) -> list[tuple[CatalogEntry, CensusReport]]:
-    """Catalog entries up to max_order matching the optional filters."""
+    """Catalog entries up to max_order matching the optional filters.
+
+    Raises ValueError for a max_order outside 1..24 or a negative delta.
+    """
     if max_order > MAX_CATALOG_ORDER:
         raise ValueError(
             f"catalog covers orders up to {MAX_CATALOG_ORDER}, got {max_order}")
+    if max_order < 1:
+        raise ValueError(f"max order must be at least 1, got {max_order}")
+    if delta is not None and delta < 0:
+        raise ValueError(f"delta must be at least 0, got {delta}")
     hits = []
     for entry, _table, report in catalog_tables():
         if entry.order > max_order:

@@ -199,8 +199,9 @@ def count_solutions(g: GroupTable, n: int) -> int:
     """Number of x in G with x^n = identity.
 
     By Frobenius' theorem this is a multiple of n whenever n divides |G|,
-    which makes it a sharp cross-check on constructed tables.
+    which makes it a sharp cross-check on constructed tables.  x^n is the
+    identity exactly when the order of x divides n.
     """
     if n < 1:
         raise ValueError(f"exponent must be positive, got {n}")
-    return sum(1 for x in range(g.order) if g.power(x, n) == 0)
+    return sum(1 for order in g.element_orders() if n % order == 0)

@@ -4,6 +4,14 @@ Cheap invariants (order, commutativity, element-order histogram, centre and
 derived-subgroup sizes, conjugacy class sizes) settle almost every pair; the
 rest fall to a backtracking search that maps a generating set of one group
 into the other, pruned by per-element invariants.
+
+The invariants are read off byte vectors, so their scans run in C:
+column y of the table is ``b"".join(rows)[y::n]``, the centre is the set of
+x whose row equals their column, conjugation by t is row t mapped through
+column t^-1 with ``bytes.translate``, and a conjugacy class is one byte
+position across those n vectors.  The derived subgroup is generated by the
+commutators x*c for c in the class of x^-1, and a centralizer's size is
+|G| divided by the size of the class.
 """
 
 from __future__ import annotations
@@ -20,34 +28,56 @@ class UnsupportedOrderError(ValueError):
     """Isomorphism testing was asked about a group beyond the supported bound."""
 
 
+def _columns(g: GroupTable) -> list[bytes]:
+    """Column y of the table, the bytes of x*y over x, for every y."""
+    flat = b"".join(g.product)
+    return [flat[y::g.order] for y in range(g.order)]
+
+
 def center(g: GroupTable) -> tuple[int, ...]:
-    """Elements commuting with everything."""
-    return tuple(x for x in range(g.order)
-                 if all(g.product[x][y] == g.product[y][x] for y in range(g.order)))
+    """Elements commuting with everything: row x equals column x."""
+    return tuple(x for x, (row, col) in enumerate(zip(g.product, _columns(g)))
+                 if row == col)
 
 
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """Subgroup generated by all commutators."""
+    return _derived_subgroup(g, conjugacy_classes(g))
+
+
+def _derived_subgroup(g: GroupTable,
+                      classes: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # [x, y] = x (y x^-1 y^-1), and y x^-1 y^-1 runs over the class of x^-1
+    class_of: dict[int, tuple[int, ...]] = {}
+    for cls in classes:
+        for y in cls:
+            class_of[y] = cls
     commutators = set()
-    for x in range(g.order):
-        for y in range(g.order):
-            xy = g.product[x][y]
-            yx = g.product[y][x]
-            commutators.add(g.product[xy][g.inverse[yx]])
+    for x, row in enumerate(g.product):
+        commutators.update(row[c] for c in class_of[g.inverse[x]])
     return generated_subgroup(g, commutators)
 
 
 def conjugacy_classes(g: GroupTable) -> list[tuple[int, ...]]:
-    """Conjugacy classes, each sorted, ordered by least element."""
-    seen = [False] * g.order
+    """Conjugacy classes, each sorted, ordered by least element.
+
+    Conjugation by t, x -> (t x) t^-1, is row t mapped through column
+    t^-1; the conjugates of x are then byte x of every such vector.
+    """
+    n = g.order
+    columns = _columns(g)
+    pad = bytes(256 - n)
+    conj = b"".join(row.translate(columns[t_inv] + pad)
+                    for row, t_inv in zip(g.product, g.inverse))
+    seen = bytearray(n)
     classes = []
-    for x in range(g.order):
+    for x in range(n):
         if seen[x]:
             continue
-        cls = {g.product[g.product[t][x]][g.inverse[t]] for t in range(g.order)}
+        cls = tuple(sorted(set(conj[x::n])))
         for y in cls:
-            seen[y] = True
-        classes.append(tuple(sorted(cls)))
+            seen[y] = 1
+        classes.append(cls)
     return classes
 
 
@@ -109,21 +139,24 @@ def _profile(g: GroupTable) -> tuple:
     """Isomorphism invariants of g, computed once and cached on the table."""
     if g._profile is None:
         hist = tuple(sorted(Counter(g.element_orders()).items()))
-        class_sizes = tuple(sorted(len(c) for c in conjugacy_classes(g)))
-        g._profile = (g.order, g.is_abelian, hist, len(center(g)),
-                      len(derived_subgroup(g)), class_sizes)
+        classes = conjugacy_classes(g)
+        class_sizes = tuple(sorted(len(c) for c in classes))
+        # the centre is the union of the classes of size 1
+        g._profile = (g.order, g.is_abelian, hist, class_sizes.count(1),
+                      len(_derived_subgroup(g, classes)), class_sizes)
     return g._profile
 
 
 def _element_keys(g: GroupTable) -> list[tuple[int, int]]:
-    """Per-element (order, centralizer size) used to prune image candidates."""
-    orders = g.element_orders()
-    keys = []
-    for x in range(g.order):
-        centralizer = sum(1 for y in range(g.order)
-                          if g.product[x][y] == g.product[y][x])
-        keys.append((orders[x], centralizer))
-    return keys
+    """Per-element (order, centralizer size) used to prune image candidates.
+
+    The centralizer of x has index |class of x| in g.
+    """
+    centralizer = [0] * g.order
+    for cls in conjugacy_classes(g):
+        for x in cls:
+            centralizer[x] = g.order // len(cls)
+    return list(zip(g.element_orders(), centralizer))
 
 
 def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:

@@ -109,6 +109,10 @@ def test_search_sigma_4444():
 def test_search_bounds():
     with pytest.raises(ValueError):
         catalog_search(25)
+    with pytest.raises(ValueError, match="at least 1"):
+        catalog_search(0)
+    with pytest.raises(ValueError, match="at least 0"):
+        catalog_search(24, delta=-1)
     assert catalog_search(1)[0][0].label == "C1"
 
 

@@ -261,6 +261,23 @@ def test_count_solutions_matches_histogram():
             assert count_solutions(g, n) == expected
 
 
+def count_solutions_oracle(g, n):
+    """count_solutions before it read element_orders(): the power loop."""
+    if n < 1:
+        raise ValueError(f"exponent must be positive, got {n}")
+    return sum(1 for x in range(g.order) if g.power(x, n) == 0)
+
+
+def test_count_solutions_matches_power_loop(catalog, claim_tables,
+                                            order_64_products):
+    tables = ([table for _entry, table, _report in catalog] + claim_tables
+              + order_64_products)
+    for g in tables:
+        for n in range(1, g.order + 1):
+            assert count_solutions(g, n) == count_solutions_oracle(g, n), \
+                (g.name, n)
+
+
 def test_frobenius_divisibility_on_catalog(catalog):
     for entry, table, _report in catalog:
         for n in range(1, entry.order + 1):

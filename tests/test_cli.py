@@ -147,6 +147,24 @@ def test_catalog_bounds_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--max-order", "0"),
+    ("catalog", "--max-order", "-5"),
+    ("catalog", "--delta", "-1"),
+])
+def test_catalog_edge_values_are_usage_errors(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_catalog_smallest_bounds_still_search():
+    code, text = run_cli("catalog", "--max-order", "1", "--delta", "0")
+    assert code == 0
+    assert text.endswith("1 groups\n")
+
+
 def test_explore_json():
     code, payload = run_json("explore", "--delta", "6")
     assert code == 0

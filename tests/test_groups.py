@@ -1,6 +1,7 @@
 """Group-table constructors and element-level operations."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -54,6 +55,95 @@ def test_validation_rejects_broken_tables():
         GroupTable(c5)
     with pytest.raises(GroupConstructionError):
         GroupTable([])
+
+
+def all_pairs_associative(rows):
+    """The associativity check GroupTable ran before Light's test: row b
+    after row a equals row a*b, for every pair (a, b)."""
+    n = len(rows)
+    pad = bytes(256 - n)
+    tables = [row + pad for row in rows]
+    for a in range(n):
+        ta, ra = tables[a], rows[a]
+        for b in range(n):
+            if rows[b].translate(ta) != rows[ra[b]]:
+                return False
+    return True
+
+
+def accepts(rows):
+    try:
+        GroupTable(rows)
+    except GroupConstructionError:
+        return False
+    return True
+
+
+@st.composite
+def normalized_latin_squares(draw):
+    """A Latin square of order 2..8 with row 0 and column 0 the identity,
+    filled cell by cell in a random order seeded by the draw, backtracking
+    when a cell has no symbol left."""
+    n = draw(st.sampled_from(range(2, 9)))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = [list(range(n))] + [[r] + [-1] * (n - 1) for r in range(1, n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        used = set(rows[r]) | {rows[i][c] for i in range(n)}
+        free = [s for s in range(n) if s not in used]
+        rnd.shuffle(free)
+        for s in free:
+            rows[r][c] = s
+            if fill(k + 1):
+                return True
+        rows[r][c] = -1
+        return False
+
+    fill(0)
+    return [bytes(row) for row in rows]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(normalized_latin_squares())
+def test_validator_matches_all_pairs_oracle_on_latin_squares(rows):
+    assert accepts(rows) == all_pairs_associative(rows)
+
+
+def test_validator_accepts_catalog_and_claims(catalog, claim_tables):
+    tables = [table for _entry, table, _report in catalog] + claim_tables
+    assert len(tables) == 74 + 25
+    for g in tables:
+        assert all_pairs_associative(g.product), g.name
+        assert accepts(g.product), g.name
+
+
+def swapped_intercalate(g, t, a, c):
+    """g's table with the 2x2 Latin subsquare on rows a, a*t and columns
+    c, t*c swapped; t is an involution and a, c lie outside {0, t}, so
+    the identity row and column are untouched and the square stays Latin."""
+    rows = [bytearray(row) for row in g.product]
+    at, tc = g.product[a][t], g.product[t][c]
+    for x in (a, at):
+        rows[x][c], rows[x][tc] = rows[x][tc], rows[x][c]
+    return [bytes(row) for row in rows]
+
+
+def test_validator_rejects_swapped_intercalates(order_64_products):
+    rnd = random.Random(8)
+    for g in order_64_products:  # 14 swaps each, 42 tables
+        involutions = [x for x, o in enumerate(g.element_orders()) if o == 2]
+        for _ in range(14):
+            t = rnd.choice(involutions)
+            a, c = rnd.sample([x for x in range(g.order) if x not in (0, t)],
+                              2)
+            rows = swapped_intercalate(g, t, a, c)
+            assert not all_pairs_associative(rows)
+            with pytest.raises(GroupConstructionError, match="associativity"):
+                GroupTable(rows)
 
 
 @pytest.mark.parametrize("g", SAMPLE_GROUPS, ids=lambda g: g.name)

@@ -17,6 +17,7 @@ from groupcensus import (GroupTable, UnsupportedOrderError,
                          generating_set, is_isomorphic, isomorphism_classes,
                          make_cyclic, make_dicyclic, make_dihedral,
                          make_symmetric, semidirect_product, theorem_claims)
+from groupcensus.isomorphism import _element_keys, _profile
 from groupcensus.verify import _klein_by_c4, _q8_by_c2
 
 
@@ -112,6 +113,68 @@ def test_center_derived_classes():
     c6 = make_cyclic(6)
     assert center(c6) == tuple(range(6))
     assert derived_subgroup(c6) == (0,)
+
+
+# The pair loops these invariants ran before the byte-vector kernels, kept
+# verbatim as oracles.
+
+
+def center_oracle(g):
+    """Elements commuting with everything."""
+    return tuple(x for x in range(g.order)
+                 if all(g.product[x][y] == g.product[y][x] for y in range(g.order)))
+
+
+def derived_subgroup_oracle(g):
+    """Subgroup generated by all commutators."""
+    commutators = set()
+    for x in range(g.order):
+        for y in range(g.order):
+            xy = g.product[x][y]
+            yx = g.product[y][x]
+            commutators.add(g.product[xy][g.inverse[yx]])
+    return generated_subgroup(g, commutators)
+
+
+def conjugacy_classes_oracle(g):
+    """Conjugacy classes, each sorted, ordered by least element."""
+    seen = [False] * g.order
+    classes = []
+    for x in range(g.order):
+        if seen[x]:
+            continue
+        cls = {g.product[g.product[t][x]][g.inverse[t]] for t in range(g.order)}
+        for y in cls:
+            seen[y] = True
+        classes.append(tuple(sorted(cls)))
+    return classes
+
+
+def element_keys_oracle(g):
+    """Per-element (order, centralizer size) used to prune image candidates."""
+    orders = g.element_orders()
+    keys = []
+    for x in range(g.order):
+        centralizer = sum(1 for y in range(g.order)
+                          if g.product[x][y] == g.product[y][x])
+        keys.append((orders[x], centralizer))
+    return keys
+
+
+def test_invariant_kernels_match_pair_loops(catalog, claim_tables,
+                                            order_64_products):
+    tables = ([table for _entry, table, _report in catalog] + claim_tables
+              + order_64_products)
+    assert len(tables) == 74 + 25 + 3
+    for g in tables:
+        assert center(g) == center_oracle(g), g.name
+        assert conjugacy_classes(g) == conjugacy_classes_oracle(g), g.name
+        assert derived_subgroup(g) == derived_subgroup_oracle(g), g.name
+        assert _element_keys(g) == element_keys_oracle(g), g.name
+        fresh = g.renamed(g.name)
+        fresh._profile = None
+        assert _profile(fresh)[3:5] == (len(center_oracle(g)),
+                                        len(derived_subgroup_oracle(g)))
 
 
 def test_generating_set_generates():
