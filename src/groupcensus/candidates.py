@@ -2,8 +2,10 @@
 
 Each cyclic-subgroup order d > 2 contributes n_d * (phi(d) - 1) to delta,
 and phi(d) - 1 is odd for d > 2.  So the possible signatures for a given
-delta are the multisets {d: n_d} with sum n_d * (phi(d) - 1) = delta,
-enumerated directly over the orders d with phi(d) - 1 <= delta.
+delta are the multisets {d: n_d} with sum n_d * (phi(d) - 1) = delta.
+They are enumerated as sorted entry tuples, already in lexicographic order,
+by a depth-first search over the orders d with phi(d) - 1 <= delta that a
+table of reachable totals prunes to the branches that end in a signature.
 
 The classical tables group the signatures by an integer partition of
 delta: each order d stands for one part n_d * (phi(d) - 1).  Distinct orders
@@ -77,27 +79,41 @@ class Candidate(NamedTuple):
 def enumerate_candidates(delta: int) -> list[Candidate]:
     """Every signature consistent with the totient identity for this delta.
 
-    Each signature is produced exactly once, by choosing n_d >= 1 for a
-    selection of distinct orders d, taken in ascending phi(d) so the search
-    stops at the first order that no longer fits; the output is sorted by
-    signature and deterministic.
+    A depth-first search emits the sorted entry tuples in lexicographic
+    order (Knuth, TAOCP 4A, 7.2.1.4): orders are taken in ascending d, each
+    entry at least the one before it.  ``reach[i]`` holds the totals that
+    orders[i:] can make with repetition, so the search enters only branches
+    that end in a signature, each signature once, and nothing is sorted.
     """
     _check_delta(delta)
-    # (phi(d) - 1, d) for every order d > 2 that fits, ascending
-    orders = [(m, d) for m in range(1, delta + 1, 2)
-              for d in phi_inverse(m + 1)]
+    orders = sorted(d for m in range(1, delta + 1, 2)
+                    for d in phi_inverse(m + 1))
+    weights = [euler_phi(d) - 1 for d in orders]
+    # an unbounded knapsack over the suffixes of orders, from the last one
+    reach = [frozenset((0,))]
+    for w in reversed(weights):
+        made = set(reach[-1])
+        for total in range(w, delta + 1):
+            if total - w in made:
+                made.add(total)
+        reach.append(frozenset(made))
+    reach.reverse()
+    # the live branches (j, d, rest after d) at each (i, rest), found once
+    moves: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     found: list[tuple[int, ...]] = []
 
-    def extend(start: int, rest: int, entries: tuple[int, ...]) -> None:
-        if rest == 0:
-            found.append(tuple(sorted(entries)))
-            return
-        for i in range(start, len(orders)):
-            m, d = orders[i]
-            if m > rest:
-                break
-            for n in range(1, rest // m + 1):
-                extend(i + 1, rest - n * m, entries + (d,) * n)
+    def extend(i: int, rest: int, entries: tuple[int, ...]) -> None:
+        live = moves.get((i, rest))
+        if live is None:
+            live = moves[i, rest] = [
+                (j, orders[j], rest - weights[j])
+                for j in range(i, len(orders))
+                if rest - weights[j] in reach[j]]
+        for j, d, left in live:
+            if left:
+                extend(j, left, entries + (d,))
+            else:
+                found.append(entries + (d,))
 
     extend(0, delta, ())
-    return [Candidate(Signature(entries)) for entries in sorted(found)]
+    return [Candidate(Signature(entries)) for entries in found]

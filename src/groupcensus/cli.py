@@ -253,10 +253,10 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_catalog(args, out) -> int:
     sigma = None
-    if args.sigma:
+    if args.sigma is not None:  # "" is the empty signature ()
         try:
-            entries = tuple(int(tok) for tok in args.sigma.split(","))
-            sigma = Signature.from_iterable(entries)
+            tokens = args.sigma.split(",") if args.sigma else ()
+            sigma = Signature.from_iterable(int(tok) for tok in tokens)
         except ValueError as err:
             print(f"error: bad --sigma: {err}", file=sys.stderr)
             return USAGE_ERROR

@@ -6,15 +6,16 @@ finite group realizes that signature.  Rules are evaluated exhaustively
 justification for the classically tabulated cases delta <= 5.
 
 ``apply_rules`` counts the entries once into the multiplicity map
-{d: n_d}; every rule is then a predicate over the sorted entries and that
-map, and all thirteen are still evaluated on every signature.
+{d: n_d} and checks all thirteen rules in one pass over the sorted entries
+and that map, in registry order, each next to the argument behind it.  The
+registry itself holds each rule's id and description.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .candidates import enumerate_candidates
 from .census import Signature, euler_phi
@@ -23,8 +24,6 @@ from .census import Signature, euler_phi
 class ExclusionRule(NamedTuple):
     id: str
     description: str
-    # (entries, {d: n_d}) -> True when the signature is excluded
-    predicate: Callable[[tuple[int, ...], dict[int, int]], bool]
 
 
 class Verdict(NamedTuple):
@@ -36,156 +35,68 @@ class Verdict(NamedTuple):
 
 # per-order facts, computed once per order rather than per signature and rule
 @cache
-def _divisors_over_2(m: int) -> tuple[int, ...]:
-    return tuple(k for k in range(3, m + 1) if m % k == 0)
+def _divisors_over_2(m: int) -> frozenset[int]:
+    return frozenset(k for k in range(3, m + 1) if m % k == 0)
 
 
 @cache
 def _odd_prime_divisors(m: int) -> tuple[int, ...]:
-    return tuple(p for p in _divisors_over_2(m) if euler_phi(p) == p - 1)
-
-
-# every predicate reads the sorted entries and n = {d: n_d}, keys ascending
-def _missing_divisor(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # a cyclic subgroup of order m contains one of order k for every k | m
-    for m in n:
-        for k in _divisors_over_2(m):
-            if k not in n:
-                return True
-    return False
-
-
-def _sylow_count(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # an odd prime p dividing an entry divides |G|, and then the number of
-    # subgroups of order p is 1 mod p (Frobenius' refinement of Sylow)
-    for m in n:
-        for p in _odd_prime_divisors(m):
-            if n.get(p, 0) % p != 1:
-                return True
-    return False
-
-
-def _coprime_product(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # unique cyclic subgroups of coprime orders a, b are normal and commute
-    # elementwise, so an element of order ab exists
-    unique: list[int] = []
-    for b, count in n.items():
-        if count == 1:
-            for a in unique:
-                if math.gcd(a, b) == 1 and a * b not in n:
-                    return True
-            unique.append(b)
-    return False
-
-
-def _unique_3_with_4(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # a unique (hence normal) C3 is centralized by the square of any
-    # order-4 element, producing an element of order 6
-    return n.get(3) == 1 and 4 in n and 6 not in n
-
-
-def _two_4s_with_3(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # with exactly two C4's, any order-3 element acts trivially on the pair
-    # and its square centralizes either, giving an element of order 12
-    return n.get(4) == 2 and 3 in n and 12 not in n
-
-
-def _unique_3_two_6s(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # two C6's over a unique C3 share their squares, and the product of
-    # their generators spans a third C6
-    return n.get(3) == 1 and n.get(6) == 2
-
-
-def _unique_4_with_3(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # a unique (hence normal) C4 admits no nontrivial C3-action, so a
-    # subgroup C4 x C3 = C12 exists
-    return n.get(4) == 1 and 3 in n and 12 not in n
-
-
-def _odd_4s(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # a 2-group with an odd count of C4's is cyclic, dihedral, generalized
-    # quaternion or quasidihedral; only C4, D8 (one C4) and Q8 (three) have
-    # no cyclic subgroup of any other order > 2
-    fours = n.get(4, 0)
-    return len(n) == 1 and fours % 2 == 1 and fours not in (1, 3)
-
-
-def _unique_6_repeated_3(entries: tuple[int, ...], n: dict[int, int]) -> bool:
-    # a unique (hence normal) C6 next to a disjoint C3 forces C6 x C3,
-    # which already contains four C6's
-    return n.get(6) == 1 and n.get(3, 0) >= 2
-
-
-def _exact(*entries: int) -> Callable[[tuple[int, ...], dict[int, int]], bool]:
-    pattern = tuple(sorted(entries))
-    return lambda entries, n: entries == pattern
+    return tuple(sorted(p for p in _divisors_over_2(m)
+                        if euler_phi(p) == p - 1))
 
 
 _RULES = (
     ExclusionRule(
         "missing_divisor",
-        "an entry has a divisor greater than 2 that is not itself an entry",
-        _missing_divisor),
+        "an entry has a divisor greater than 2 that is not itself an entry"),
     ExclusionRule(
         "sylow_count",
         "an odd prime p divides an entry but occurs as an entry a number of"
-        " times that is not 1 mod p",
-        _sylow_count),
+        " times that is not 1 mod p"),
     ExclusionRule(
         "coprime_product",
         "two entries of multiplicity one are coprime but their product is"
-        " not an entry",
-        _coprime_product),
+        " not an entry"),
     ExclusionRule(
         "unique_3_with_4",
         "a unique 3 alongside a 4 forces an element of order 6, but 6 is"
-        " not an entry",
-        _unique_3_with_4),
+        " not an entry"),
     ExclusionRule(
         "two_4s_with_3",
         "exactly two 4s alongside a 3 force an element of order 12, but 12"
-        " is not an entry",
-        _two_4s_with_3),
+        " is not an entry"),
     ExclusionRule(
         "unique_3_two_6s",
         "exactly two 6s over a unique 3 force a third cyclic subgroup of"
-        " order 6",
-        _unique_3_two_6s),
+        " order 6"),
     ExclusionRule(
         "unique_4_with_3",
         "a unique 4 alongside a 3 forces an element of order 12, but 12 is"
-        " not an entry",
-        _unique_4_with_3),
+        " not an entry"),
     ExclusionRule(
         "odd_4s",
         "a signature of 4s alone with odd multiplicity is realized only"
-        " with one 4 (C4, D8) or three (Q8)",
-        _odd_4s),
+        " with one 4 (C4, D8) or three (Q8)"),
     ExclusionRule(
         "unique_6_repeated_3",
         "a unique 6 next to a second 3 forces a subgroup C6 x C3 and hence"
-        " more cyclic subgroups of order 6",
-        _unique_6_repeated_3),
+        " more cyclic subgroups of order 6"),
     ExclusionRule(
         "pattern_36666",
         "no group has exactly four cyclic subgroups of order 6 over a"
-        " unique one of order 3 and nothing else",
-        _exact(3, 6, 6, 6, 6)),
+        " unique one of order 3 and nothing else"),
     ExclusionRule(
         "pattern_445",
         "two 4s and a unique 5 force a subgroup C20 and hence an element"
-        " of order 20",
-        _exact(4, 4, 5)),
+        " of order 20"),
     ExclusionRule(
         "pattern_448",
-        "two 4s under a unique 8 force a second element family of order 8",
-        _exact(4, 4, 8)),
+        "two 4s under a unique 8 force a second element family of order 8"),
     ExclusionRule(
         "pattern_34466",
         "a 3 with exactly two 4s and two 6s is impossible: the order-4"
         " action on the normal C3 yields a third 4 or an element of"
-        " order 12",
-        _exact(3, 4, 4, 6, 6)),
+        " order 12"),
 )
 
 
@@ -195,13 +106,87 @@ def rule_registry() -> list[ExclusionRule]:
 
 
 def apply_rules(sig: Signature) -> Verdict:
-    """Evaluate every rule on a signature and report all that fire."""
+    """Evaluate every rule on a signature and report all that fire.
+
+    The rules are checked in registry order over n = {d: n_d}, keys
+    ascending, and each that fires appends its id.
+    """
     entries = sig.entries
     n: dict[int, int] = {}
     for d in entries:
         n[d] = n.get(d, 0) + 1
-    fired = tuple([rule.id for rule in _RULES if rule.predicate(entries, n)])
-    return Verdict(sig, bool(fired), fired,
+    n3, n4, n6 = n.get(3), n.get(4), n.get(6)
+    fired = []
+    # missing_divisor: a cyclic subgroup of order m contains one of order k
+    # for every k | m
+    for m in n:
+        if not n.keys() >= _divisors_over_2(m):
+            fired.append("missing_divisor")
+            break
+    # sylow_count: an odd prime p dividing an entry divides |G|, and then
+    # the number of subgroups of order p is 1 mod p (Frobenius' refinement
+    # of Sylow)
+    for m in n:
+        for p in _odd_prime_divisors(m):
+            if n.get(p, 0) % p != 1:
+                break
+        else:
+            continue
+        fired.append("sylow_count")
+        break
+    # coprime_product: unique cyclic subgroups of coprime orders a, b are
+    # normal and commute elementwise, so an element of order ab exists
+    unique: list[int] = []
+    for b, count in n.items():
+        if count == 1:
+            for a in unique:
+                if math.gcd(a, b) == 1 and a * b not in n:
+                    break
+            else:
+                unique.append(b)
+                continue
+            fired.append("coprime_product")
+            break
+    # unique_3_with_4: a unique (hence normal) C3 is centralized by the
+    # square of any order-4 element, producing an element of order 6
+    if n3 == 1 and n4 and not n6:
+        fired.append("unique_3_with_4")
+    # two_4s_with_3: with exactly two C4's, any order-3 element acts
+    # trivially on the pair and its square centralizes either, giving an
+    # element of order 12
+    if n4 == 2 and n3 and 12 not in n:
+        fired.append("two_4s_with_3")
+    # unique_3_two_6s: two C6's over a unique C3 share their squares, and
+    # the product of their generators spans a third C6
+    if n3 == 1 and n6 == 2:
+        fired.append("unique_3_two_6s")
+    # unique_4_with_3: a unique (hence normal) C4 admits no nontrivial
+    # C3-action, so a subgroup C4 x C3 = C12 exists
+    if n4 == 1 and n3 and 12 not in n:
+        fired.append("unique_4_with_3")
+    # odd_4s: a 2-group with an odd count of C4's is cyclic, dihedral,
+    # generalized quaternion or quasidihedral; only C4, D8 (one C4) and Q8
+    # (three) have no cyclic subgroup of any other order > 2
+    if n4 and len(n) == 1 and n4 % 2 == 1 and n4 not in (1, 3):
+        fired.append("odd_4s")
+    # unique_6_repeated_3: a unique (hence normal) C6 next to a disjoint C3
+    # forces C6 x C3, which already contains four C6's
+    if n6 == 1 and n3 and n3 >= 2:
+        fired.append("unique_6_repeated_3")
+    # pattern_36666: no group has four C6's over a unique C3 and nothing else
+    if entries == (3, 6, 6, 6, 6):
+        fired.append("pattern_36666")
+    # pattern_445: two C4's and a unique (hence normal) C5 give C20
+    if entries == (4, 4, 5):
+        fired.append("pattern_445")
+    # pattern_448: two C4's under a unique C8 force a second family of 8s
+    if entries == (4, 4, 8):
+        fired.append("pattern_448")
+    # pattern_34466: an order-4 action on the normal C3 yields a third C4
+    # or an element of order 12
+    if entries == (3, 4, 4, 6, 6):
+        fired.append("pattern_34466")
+    return Verdict(sig, bool(fired), tuple(fired),
                    RECORDED_JUSTIFICATIONS.get(entries))
 
 

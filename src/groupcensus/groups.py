@@ -10,6 +10,7 @@ turns subtle construction bugs into immediate errors.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 MAX_ORDER = 64
@@ -386,17 +387,21 @@ def from_permutations(gens: Sequence[Sequence[int]],
         if sorted(p) != points:
             raise ValueError(f"images {tuple(p)} are not a bijection of"
                              f" 0..{degree - 1}")
-    # close over raw image tuples; q = tuple(e[i] for i in p) is e after p.
+    if degree <= 1:  # trivial; itemgetter of one index returns no tuple
+        return make_cyclic(1).renamed(name)
+    # close over raw image tuples; compose[k](e) = (e[p[0]], e[p[1]], ...)
+    # is e after p = gens[k], taken in C by one itemgetter per generator.
     # The closure is the right Cayley graph: right[k][e] is the index of
     # e.g_k, and every element b > 0 was first reached as parent[b].g_via[b].
+    compose = [itemgetter(*p) for p in gens]
     ident = tuple(points)
     elements = [ident]
     index = {ident: 0}
     right: list[list[int]] = [[] for _ in gens]
     parent, via = [0], [0]
     for cursor, e in enumerate(elements):  # grows while it is walked
-        for k, p in enumerate(gens):
-            q = tuple(e[i] for i in p)
+        for k, after in enumerate(compose):
+            q = after(e)
             j = index.get(q)
             if j is None:
                 j = len(elements)

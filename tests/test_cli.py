@@ -142,6 +142,15 @@ def test_catalog_search():
                                              "Q8:C2"}
 
 
+def test_catalog_empty_sigma_is_the_empty_signature():
+    # the groups with no cyclic subgroup of order > 2: elementary abelian
+    code, text = run_cli("catalog", "--sigma", "")
+    assert code == 0
+    labels = [line.split()[2] for line in text.splitlines()[:-1]]
+    assert labels == ["C1", "C2", "C2xC2", "C2xC2xC2", "C2xC2xC2xC2"]
+    assert text.endswith("\n5 groups\n")
+
+
 def test_catalog_bounds_error():
     code, _ = run_cli("catalog", "--max-order", "25")
     assert code == 2

@@ -17,7 +17,7 @@ from groupcensus import (MAX_ORDER, GroupConstructionError, GroupTable,
                          inversion_action, is_isomorphic, make_alternating,
                          make_cyclic, make_dicyclic, make_dihedral,
                          make_quasidihedral, make_symmetric,
-                         parse_generators, semidirect_product)
+                         parse_generators, parse_group, semidirect_product)
 
 
 def order_histogram(g):
@@ -333,6 +333,61 @@ def closure_oracle(gens):
                 index[q] = len(elements)
                 elements.append(q)
     return [bytes(index[compose(a, b)] for b in elements) for a in elements]
+
+
+def generator_closure(gens):
+    """from_permutations as it was before composing with itemgetter.
+
+    The same breadth-first Cayley-graph walk, with every product composed
+    by a generator expression; returns the table rows.
+    """
+    degree = len(gens[0])
+    ident = tuple(range(degree))
+    elements = [ident]
+    index = {ident: 0}
+    right = [[] for _ in gens]
+    parent, via = [0], [0]
+    for cursor, e in enumerate(elements):
+        for k, p in enumerate(gens):
+            q = tuple(e[i] for i in p)
+            j = index.get(q)
+            if j is None:
+                j = len(elements)
+                index[q] = j
+                elements.append(q)
+                parent.append(cursor)
+                via.append(k)
+            right[k].append(j)
+    n = len(elements)
+    pad = bytes(256 - n)
+    maps = [bytes(r) + pad for r in right]
+    columns = [bytes(range(n))]
+    for b in range(1, n):
+        columns.append(columns[parent[b]].translate(maps[via[b]]))
+    return tuple(bytes(row) for row in zip(*columns))
+
+
+def test_closure_matches_generator_closure_on_catalog(catalog):
+    for entry, table, _report in catalog:
+        assert table.product == generator_closure(entry.generators), \
+            entry.label
+
+
+# 150 disjoint transpositions: 300 points, more than a byte can index
+TRANSPOSITIONS = "".join(f"({2 * i} {2 * i + 1})" for i in range(150))
+
+
+@pytest.mark.parametrize("build, gens", [
+    (lambda: make_symmetric(3), [(1, 2, 0), (1, 0, 2)]),
+    (lambda: make_symmetric(4), [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    (lambda: make_alternating(3), [(1, 2, 0)]),
+    (lambda: make_alternating(4), [(1, 2, 0, 3), (0, 2, 3, 1)]),
+    (lambda: from_permutations([(0,)]), [(0,)]),
+    (lambda: parse_group(f"perm[{TRANSPOSITIONS}]"),
+     parse_generators(TRANSPOSITIONS)),
+], ids=["S3", "S4", "A3", "A4", "degree-1", "300-points"])
+def test_closure_matches_generator_closure(build, gens):
+    assert build().product == generator_closure(gens)
 
 
 @st.composite
