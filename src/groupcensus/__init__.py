@@ -25,7 +25,7 @@ from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
                      make_cyclic, make_dicyclic, make_dihedral,
                      make_quasidihedral, make_symmetric, parse_generators,
                      semidirect_product)
-from .isomorphism import (UnsupportedOrderError, center, conjugacy_classes,
+from .isomorphism import (UnsupportedOrderError, conjugacy_classes,
                           derived_subgroup, extend_generator_map,
                           generating_set, is_isomorphic,
                           isomorphism_classes)
@@ -44,7 +44,7 @@ __all__ = [
     "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "Signature", "SurvivorReport",
     "TheoremClaim", "UnsupportedOrderError", "VerificationReport", "Verdict",
     "action_from_generator_images", "apply_rules", "catalog_search",
-    "catalog_tables", "catalog_validate", "census", "center",
+    "catalog_tables", "catalog_validate", "census",
     "conjugacy_classes", "count_solutions", "cycle_string",
     "cyclic_subgroups", "derived_subgroup", "direct_product", "element_order",
     "enumerate_candidates", "euler_phi", "explore",

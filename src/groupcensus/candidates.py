@@ -15,12 +15,19 @@ is derived from the signature on demand.
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .census import Signature, euler_phi, phi_inverse
 
 MAX_DELTA = 16
+
+
+@lru_cache(maxsize=None)
+def _weight(d: int) -> int:
+    """phi(d) - 1, what one cyclic subgroup of order d adds to delta."""
+    return euler_phi(d) - 1
 
 
 def _check_delta(delta: int) -> None:
@@ -52,7 +59,7 @@ class CandidateRow(NamedTuple):
     @property
     def factorization(self) -> tuple[tuple[int, int], ...]:
         """Per part the pair (count, phi(order) - 1)."""
-        return tuple((count, euler_phi(d) - 1) for count, d in self.choices)
+        return tuple((count, _weight(d)) for count, d in self.choices)
 
     @property
     def signature(self) -> Signature:
@@ -67,13 +74,13 @@ class Candidate(NamedTuple):
 
     @property
     def rows(self) -> tuple[CandidateRow, ...]:
-        # the one partition row: parts n_d * (phi(d) - 1), non-increasing,
-        # equal parts in ascending order d
-        parts = sorted(((n * (euler_phi(d) - 1), d, n) for d, n
-                        in Counter(self.signature.entries).items()),
-                       key=lambda part: (-part[0], part[1]))
-        return (CandidateRow(tuple(p for p, _d, _n in parts),
-                             tuple((n, d) for _p, d, n in parts)),)
+        # the one partition row: a part n_d * (phi(d) - 1) per run of n_d
+        # equal entries d, non-increasing, equal parts in ascending order d
+        choices = sorted(((len(tuple(run)), d) for d, run
+                          in groupby(self.signature.entries)),
+                         key=lambda nd: (-nd[0] * _weight(nd[1]), nd[1]))
+        return (CandidateRow(tuple(n * _weight(d) for n, d in choices),
+                             tuple(choices)),)
 
 
 def enumerate_candidates(delta: int) -> list[Candidate]:
@@ -88,7 +95,7 @@ def enumerate_candidates(delta: int) -> list[Candidate]:
     _check_delta(delta)
     orders = sorted(d for m in range(1, delta + 1, 2)
                     for d in phi_inverse(m + 1))
-    weights = [euler_phi(d) - 1 for d in orders]
+    weights = [_weight(d) for d in orders]
     # an unbounded knapsack over the suffixes of orders, from the last one
     reach = [frozenset((0,))]
     for w in reversed(weights):

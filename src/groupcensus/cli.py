@@ -1,13 +1,14 @@
 """Command-line interface: analyze, candidates, exclude, verify, catalog, explore.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage or parse
-errors.  All output is deterministic: identical invocations produce
-byte-identical output.
+Exit codes: 0 on success, 1 when a verification fails or the reader closes
+stdout before the output ends, 2 on usage or parse errors.  All output is
+deterministic: identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -372,4 +373,13 @@ def run(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as ``| head`` does: exit 1, with stdout
+        # pointed at devnull so the flush at exit raises nothing more (the
+        # idiom of the SIGPIPE note in Python's signal documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

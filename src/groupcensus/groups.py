@@ -111,7 +111,7 @@ class GroupTable:
     """
 
     __slots__ = ("order", "product", "inverse", "name", "_orders", "_abelian",
-                 "_profile")
+                 "_profile", "_classes")
 
     def __init__(self, product: Sequence[Sequence[int]], name: str = "G",
                  validate: bool = True):
@@ -128,8 +128,10 @@ class GroupTable:
         self.name = name
         self._orders: tuple[int, ...] | None = None
         self._abelian: bool | None = None
-        # isomorphism invariants, filled in by isomorphism._profile
+        # isomorphism invariants and conjugacy classes, filled in by
+        # isomorphism._profile and isomorphism.conjugacy_classes
         self._profile: tuple | None = None
+        self._classes: list[tuple[int, ...]] | None = None
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -182,6 +184,7 @@ class GroupTable:
         clone._orders = self._orders
         clone._abelian = self._abelian
         clone._profile = self._profile
+        clone._classes = self._classes
         return clone
 
     def __repr__(self) -> str:
@@ -415,14 +418,16 @@ def from_permutations(gens: Sequence[Sequence[int]],
                 via.append(k)
             right[k].append(j)
     # a.b = (a.parent[b]).g_via[b], so column b of the table is column
-    # parent[b] mapped through right[via[b]]; parents precede children
+    # parent[b] mapped through right[via[b]]; parents precede children.
+    # Row a is then byte a of every column, the slice flat[a::n].
     n = len(elements)
     pad = bytes(256 - n)
     maps = [bytes(r) + pad for r in right]
     columns = [bytes(range(n))]
     for b in range(1, n):
         columns.append(columns[parent[b]].translate(maps[via[b]]))
-    return GroupTable(list(zip(*columns)), name=name)
+    flat = b"".join(columns)
+    return GroupTable([flat[a::n] for a in range(n)], name=name)
 
 
 # ---------------------------------------------------------------------------

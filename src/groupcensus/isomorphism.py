@@ -1,17 +1,20 @@
 """Isomorphism testing for small group tables.
 
 Cheap invariants (order, commutativity, element-order histogram, centre and
-derived-subgroup sizes, conjugacy class sizes) settle almost every pair; the
-rest fall to a backtracking search that maps a generating set of one group
-into the other, pruned by per-element invariants.
+derived-subgroup sizes, conjugacy class sizes, square-root histogram)
+settle every pair of distinct catalog groups; the pairs they cannot
+separate fall to a backtracking search that maps a generating set of one
+group into the other, pruned by per-element invariants.
 
 The invariants are read off byte vectors, so their scans run in C:
-column y of the table is ``b"".join(rows)[y::n]``, the centre is the set of
-x whose row equals their column, conjugation by t is row t mapped through
-column t^-1 with ``bytes.translate``, and a conjugacy class is one byte
-position across those n vectors.  The derived subgroup is generated by the
-commutators x*c for c in the class of x^-1, and a centralizer's size is
-|G| divided by the size of the class.
+column y of the table is ``b"".join(rows)[y::n]``, the squares x*x are
+the diagonal ``b"".join(rows)[::n + 1]``, conjugation by t is row t mapped
+through column t^-1 with ``bytes.translate``, and a conjugacy class is one
+byte position across those n vectors.  The centre is the union of the
+classes of size 1, the derived subgroup is generated by the commutators
+x*c for c in the class of x^-1, and a centralizer's size is |G| divided by
+the size of the class.  The classes are computed once per table and kept
+on it with the invariants.
 """
 
 from __future__ import annotations
@@ -26,18 +29,6 @@ ISOMORPHISM_ORDER_BOUND = 32
 
 class UnsupportedOrderError(ValueError):
     """Isomorphism testing was asked about a group beyond the supported bound."""
-
-
-def _columns(g: GroupTable) -> list[bytes]:
-    """Column y of the table, the bytes of x*y over x, for every y."""
-    flat = b"".join(g.product)
-    return [flat[y::g.order] for y in range(g.order)]
-
-
-def center(g: GroupTable) -> tuple[int, ...]:
-    """Elements commuting with everything: row x equals column x."""
-    return tuple(x for x, (row, col) in enumerate(zip(g.product, _columns(g)))
-                 if row == col)
 
 
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
@@ -62,23 +53,27 @@ def conjugacy_classes(g: GroupTable) -> list[tuple[int, ...]]:
     """Conjugacy classes, each sorted, ordered by least element.
 
     Conjugation by t, x -> (t x) t^-1, is row t mapped through column
-    t^-1; the conjugates of x are then byte x of every such vector.
+    t^-1, the slice ``flat[t^-1::n]`` of the joined rows; the conjugates
+    of x are then byte x of every such vector.  The classes are computed
+    once per table and kept on it; each call returns a new list.
     """
-    n = g.order
-    columns = _columns(g)
-    pad = bytes(256 - n)
-    conj = b"".join(row.translate(columns[t_inv] + pad)
-                    for row, t_inv in zip(g.product, g.inverse))
-    seen = bytearray(n)
-    classes = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        cls = tuple(sorted(set(conj[x::n])))
-        for y in cls:
-            seen[y] = 1
-        classes.append(cls)
-    return classes
+    if g._classes is None:
+        n = g.order
+        flat = b"".join(g.product)
+        pad = bytes(256 - n)
+        conj = b"".join(row.translate(flat[t_inv::n] + pad)
+                        for row, t_inv in zip(g.product, g.inverse))
+        seen = bytearray(n)
+        classes = []
+        for x in range(n):
+            if seen[x]:
+                continue
+            cls = tuple(sorted(set(conj[x::n])))
+            for y in cls:
+                seen[y] = 1
+            classes.append(cls)
+        g._classes = classes
+    return list(g._classes)
 
 
 def generating_set(g: GroupTable) -> list[int]:
@@ -136,14 +131,26 @@ def extend_generator_map(src: GroupTable, dst: GroupTable,
 
 
 def _profile(g: GroupTable) -> tuple:
-    """Isomorphism invariants of g, computed once and cached on the table."""
+    """Isomorphism invariants of g, computed once and cached on the table.
+
+    The last one is the square-root histogram: the sorted pairs (k, m)
+    where m elements y have exactly k square roots x, x*x = y, with k > 0.
+    It is an invariant because an isomorphism phi has phi(x)*phi(x) =
+    phi(x*x), so x -> phi(x) maps the square roots of y one-to-one onto
+    those of phi(y), and y and phi(y) have equally many.  It separates
+    the catalog's two pairs of order-16 groups that agree on every other
+    invariant: Q8xC2 ((4,1),(12,1)) from C4:C4 ((4,2),(8,1)), and
+    (C2xC2):C4 ((4,2),(8,1)) from Q8:C2 ((8,2),).
+    """
     if g._profile is None:
         hist = tuple(sorted(Counter(g.element_orders()).items()))
         classes = conjugacy_classes(g)
         class_sizes = tuple(sorted(len(c) for c in classes))
+        roots = Counter(b"".join(g.product)[::g.order + 1])
         # the centre is the union of the classes of size 1
         g._profile = (g.order, g.is_abelian, hist, class_sizes.count(1),
-                      len(_derived_subgroup(g, classes)), class_sizes)
+                      len(_derived_subgroup(g, classes)), class_sizes,
+                      tuple(sorted(Counter(roots.values()).items())))
     return g._profile
 
 

@@ -1,0 +1,74 @@
+"""tools/bench_pairs.py: the paired summary, on canned perfbench lines."""
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def result_line(p50, ops, attempted, failed=0):
+    return json.dumps({
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
+        "metrics": {"latency_ref.p50": {"value": p50, "unit": "ref"},
+                    "ops_per_ref": {"value": ops, "unit": "1/ref"}}})
+
+
+def traced_line(d16, fired, seconds):
+    return json.dumps({
+        "correct": True, "attempted": 4, "failed": 0,
+        "metrics": {"candidates.count.d16": {"value": d16, "unit": "count"},
+                    "exclusion.fired.odd_4s": {"value": fired,
+                                               "unit": "count"},
+                    "verify.explore_s": {"value": seconds, "unit": "s"}}})
+
+
+def test_summary_of_canned_pairs():
+    tool = load_tool()
+    end_to_end = [{"name": "latency_ref.p50", "better": "lower"},
+                  {"name": "ops_per_ref", "better": "higher"}]
+    # (seed, side, p50, ops, attempted); seed 4 has no change run, so it is
+    # no pair
+    canned = [(1, "parent", 1.10, 0.90, 10), (1, "change", 1.00, 1.00, 11),
+              (2, "change", 1.05, 0.95, 11), (2, "parent", 1.12, 0.88, 10),
+              (3, "parent", 1.08, 0.93, 10), (3, "change", 1.09, 0.92, 10),
+              (4, "parent", 9.99, 0.01, 1)]
+    runs = [{"workload": "verify", "seed": seed, "side": side, "trace": 0,
+             "result": json.loads(result_line(p50, ops, attempted))}
+            for seed, side, p50, ops, attempted in canned]
+    # two traced pairs; seed 10 has the change run first
+    runs += [{"workload": "explore", "seed": seed, "side": side, "trace": 1,
+              "result": json.loads(traced_line(8525, 5, seconds))}
+             for seed, side, seconds in ((9, "parent", 0.08),
+                                         (9, "change", 0.06),
+                                         (10, "change", 0.07),
+                                         (10, "parent", 0.06))]
+    summary = tool.summarize(runs, end_to_end)
+    verify = summary["verify"]
+    assert verify["pairs"] == 3
+    assert verify["latency_ref.p50"] == {
+        "parent_median": 1.10, "parent_q1": 1.09, "parent_q3": 1.11,
+        "change_median": 1.05, "change_q1": 1.025, "change_q3": 1.07,
+        "change_better": "2/3"}
+    assert verify["ops_per_ref"]["change_better"] == "2/3"
+    assert verify["ops_per_ref"]["parent_median"] == 0.90
+    assert verify["attempted"] == {"parent": 30, "change": 32}
+    assert verify["failed"] == {"parent": 0, "change": 0}
+    assert "explore" not in summary
+    traced = summary["traced"]["explore"]
+    assert traced["pairs"] == 2
+    assert traced["verify.explore_s"] == {
+        "parent_median": 0.07, "change_median": 0.065, "change_lower": "1/2"}
+    assert traced["candidates.count.d16"]["change_lower"] == "0/2"
+    assert traced["fired_and_counts_identical"] is True
+    runs[-1]["result"] = json.loads(traced_line(8525, 6, 0.06))
+    assert tool.summarize(runs, end_to_end)["traced"]["explore"][
+        "fired_and_counts_identical"] is False

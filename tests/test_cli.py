@@ -244,6 +244,21 @@ def test_cli_import_loads_no_heavy_modules():
     assert not added & {"dataclasses", "inspect", "json"}
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # 185 kB of output outgrow the pipe buffer, so the child is still
+    # writing when the reader closes the pipe after one line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "groupcensus", "candidates", "--delta", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline().startswith(b"candidate signatures")
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 # well-formed expressions over valid and out-of-range names and random
 # cycles, fragments of the language, and raw characters
 _CYCLES = st.lists(st.lists(st.integers(0, 12), max_size=5), max_size=3).map(

@@ -146,6 +146,67 @@ def test_validator_rejects_swapped_intercalates(order_64_products):
                 GroupTable(rows)
 
 
+def relabelled_rows(g, rnd):
+    """g's table with its elements renamed by a random permutation fixing 0."""
+    images = [0] + rnd.sample(range(1, g.order), g.order - 1)
+    back = [0] * g.order
+    for x, y in enumerate(images):
+        back[y] = x
+    return [bytearray(images[g.product[back[a]][back[b]]]
+                      for b in range(g.order)) for a in range(g.order)]
+
+
+def damaged_tables(seed, count):
+    """Seeded tables of order 1..64: relabelled groups, intact or with one
+    defect, each with the error GroupTable must raise for it (None for an
+    intact group)."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.randint(1, MAX_ORDER)
+        builds = [make_cyclic]
+        if n % 2 == 0:
+            builds.append(make_dihedral)
+        if n % 4 == 0 and n >= 8:
+            builds.append(make_dicyclic)
+        rows = relabelled_rows(rnd.choice(builds)(n), rnd)
+        x, y = rnd.randrange(n), rnd.randrange(n)
+        defect = rnd.choice(["none", "row", "column", "value", "identity",
+                             "length"] if n > 1 else ["none", "value"])
+        error = None
+        if defect == "row":  # row x repeats a value; so does column y
+            rows[x][y] = rows[x][(y + rnd.randrange(1, n)) % n]
+            error = f"row {x} is not a permutation of 0..{n - 1}"
+        elif defect == "column":  # rows stay permutations
+            y2 = (y + rnd.randrange(1, n)) % n
+            rows[x][y], rows[x][y2] = rows[x][y2], rows[x][y]
+            error = f"column {min(y, y2)} is not a permutation of 0..{n - 1}"
+        elif defect == "value":
+            rows[x][y] = rnd.randrange(n, 256)
+            error = f"row {x} is not a permutation of 0..{n - 1}"
+        elif defect == "identity":  # still a Latin square
+            rows[0], rows[x or 1] = rows[x or 1], rows[0]
+            error = "element 0 is not a two-sided identity"
+        elif defect == "length":
+            del rows[x][y]
+            error = f"row {x} has length {n - 1}, expected {n}"
+        yield defect, [bytes(row) for row in rows], error
+
+
+def test_validator_names_the_first_defect():
+    # every check of the Latin-square and identity axioms, with the row
+    # or column it names, on tables up to the largest supported order
+    seen = Counter()
+    for defect, rows, error in damaged_tables(seed=10, count=400):
+        if error is None:
+            GroupTable(rows)
+        else:
+            with pytest.raises(GroupConstructionError) as raised:
+                GroupTable(rows)
+            assert str(raised.value) == error, defect
+        seen[defect] += 1
+    assert len(seen) == 6
+
+
 @pytest.mark.parametrize("g", SAMPLE_GROUPS, ids=lambda g: g.name)
 def test_lagrange(g):
     for x in range(g.order):

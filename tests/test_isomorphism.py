@@ -5,18 +5,21 @@ oracle it replaced in catalog validation and the claim sweeps.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcensus import (GroupTable, UnsupportedOrderError,
-                         action_from_generator_images, center,
-                         conjugacy_classes, derived_subgroup, direct_product,
+                         action_from_generator_images, conjugacy_classes,
+                         derived_subgroup, direct_product,
                          extend_generator_map, generated_subgroup,
                          generating_set, is_isomorphic, isomorphism_classes,
                          make_cyclic, make_dicyclic, make_dihedral,
-                         make_symmetric, semidirect_product, theorem_claims)
+                         make_symmetric, semidirect_product, theorem_claims,
+                         verify_all)
+from groupcensus import isomorphism
 from groupcensus.isomorphism import _element_keys, _profile
 from groupcensus.verify import _klein_by_c4, _q8_by_c2
 
@@ -39,7 +42,8 @@ def c4_by_c4():
 
 
 def profile_twins():
-    """The two pairs of order-16 groups that agree on every invariant."""
+    """The two pairs of order-16 groups that agree on every invariant but
+    the square-root histogram."""
     return [(direct_product(make_dicyclic(8), make_cyclic(2)), c4_by_c4()),
             (_klein_by_c4(), _q8_by_c2())]
 
@@ -74,10 +78,11 @@ def test_known_non_isomorphic_pairs():
 
 def test_backtracking_separates_invariant_twins():
     # C4:C4 and Q8xC2 agree on order, order histogram, centre size, derived
-    # size and class sizes; only the search can tell them apart
+    # size and class sizes; the square-root histogram and the search tell
+    # them apart
     c4c4 = c4_by_c4()
     q8xc2 = direct_product(make_dicyclic(8), make_cyclic(2))
-    assert len(center(c4c4)) == len(center(q8xc2)) == 4
+    assert len(center_oracle(c4c4)) == len(center_oracle(q8xc2)) == 4
     assert sorted(c4c4.element_orders()) == sorted(q8xc2.element_orders())
     assert not is_isomorphic(c4c4, q8xc2)
 
@@ -103,15 +108,15 @@ def test_unsupported_order_raises():
 
 def test_center_derived_classes():
     s3 = make_symmetric(3)
-    assert center(s3) == (0,)
+    assert center_oracle(s3) == (0,)
     assert len(derived_subgroup(s3)) == 3
     assert sorted(len(c) for c in conjugacy_classes(s3)) == [1, 2, 3]
     q8 = make_dicyclic(8)
-    assert len(center(q8)) == 2
+    assert len(center_oracle(q8)) == 2
     assert sorted(len(c) for c in conjugacy_classes(make_symmetric(4))) == \
         [1, 3, 6, 6, 8]
     c6 = make_cyclic(6)
-    assert center(c6) == tuple(range(6))
+    assert center_oracle(c6) == tuple(range(6))
     assert derived_subgroup(c6) == (0,)
 
 
@@ -167,7 +172,6 @@ def test_invariant_kernels_match_pair_loops(catalog, claim_tables,
               + order_64_products)
     assert len(tables) == 74 + 25 + 3
     for g in tables:
-        assert center(g) == center_oracle(g), g.name
         assert conjugacy_classes(g) == conjugacy_classes_oracle(g), g.name
         assert derived_subgroup(g) == derived_subgroup_oracle(g), g.name
         assert _element_keys(g) == element_keys_oracle(g), g.name
@@ -239,3 +243,62 @@ def test_classes_reject_unsupported_orders():
     with pytest.raises(UnsupportedOrderError):
         isomorphism_classes([make_cyclic(2), big])
     assert isomorphism_classes([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the square-root histogram
+
+
+def test_classes_match_oracle_on_catalog_and_claims(catalog, claim_tables):
+    tables = [table for _entry, table, _report in catalog] + claim_tables
+    keys = assert_classes_match_oracle(tables)
+    # every claimed group of order <= 24 is a catalog group; C2xC2xD8 has
+    # order 32
+    assert len(set(keys)) == 74 + 1
+
+
+def test_profile_is_invariant_under_relabelling(catalog):
+    rnd = random.Random(10)
+    for _entry, table, _report in catalog:
+        for _ in range(3):
+            images = [0] + rnd.sample(range(1, table.order), table.order - 1)
+            assert _profile(relabelled(table, images)) == _profile(table), \
+                table.name
+
+
+def test_catalog_tables_fall_into_74_buckets(catalog):
+    assert len({_profile(table) for _entry, table, _report in catalog}) == 74
+
+
+def test_square_roots_split_the_profile_twins():
+    for a, b in profile_twins():
+        assert _profile(a)[:-1] == _profile(b)[:-1]
+        assert _profile(a)[-1] != _profile(b)[-1]
+    (q8xc2, c4c4), (klein_c4, q8c2) = profile_twins()
+    assert _profile(q8xc2)[-1] == ((4, 1), (12, 1))
+    assert _profile(c4c4)[-1] == _profile(klein_c4)[-1] == ((4, 2), (8, 1))
+    assert _profile(q8c2)[-1] == ((8, 2),)
+
+
+def test_search_separates_twins_without_square_roots(monkeypatch):
+    # with the square-root histogram left out of the profile, the twins
+    # reach the search, which must still tell them apart
+    full = isomorphism._profile
+    monkeypatch.setattr(isomorphism, "_profile", lambda g: full(g)[:-1])
+    for a, b in profile_twins():
+        assert not is_isomorphic(a, b)
+        assert is_isomorphic(a, relabelled(a, [0, *range(15, 0, -1)]))
+
+
+def test_verify_all_searches_only_isomorphic_pairs(monkeypatch):
+    verdicts = []
+    plain = isomorphism.is_isomorphic
+
+    def counted(a, b):
+        verdicts.append(plain(a, b))
+        return verdicts[-1]
+
+    monkeypatch.setattr(isomorphism, "is_isomorphic", counted)
+    assert verify_all().passed
+    assert len(verdicts) == 32
+    assert all(verdicts)
