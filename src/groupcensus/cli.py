@@ -38,8 +38,10 @@ def _emit_json(stream, payload) -> None:
     indent every value goes through its pure-Python encoder.  The payloads
     here hold only dicts with string keys, lists, strings, ints, booleans
     and None, so the indented layout is written directly, with the C string
-    encoder for every string.  json is imported here, not at start-up,
-    because only ``--format json`` needs it.
+    encoder for every string.  The ints of a list, the bulk of every
+    payload, are written in the list's one join rather than by a call
+    each.  json is imported here, not at start-up, because only
+    ``--format json`` needs it.
     """
     from json.encoder import encode_basestring_ascii as quote
 
@@ -57,7 +59,8 @@ def _emit_json(stream, payload) -> None:
         if kind is list:
             if not value:
                 return "[]"
-            body = (",\n" + inner).join([encode(v, inner) for v in value])
+            body = (",\n" + inner).join([
+                str(v) if type(v) is int else encode(v, inner) for v in value])
             return "[\n" + inner + body + "\n" + indent + "]"
         if kind is dict:
             if not value:

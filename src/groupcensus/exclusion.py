@@ -9,6 +9,23 @@ justification for the classically tabulated cases delta <= 5.
 {d: n_d} and checks all thirteen rules in one pass over the sorted entries
 and that map, in registry order, each next to the argument behind it.  The
 registry itself holds each rule's id and description.
+
+``revised_table`` does not judge every candidate.  The candidates arrive in
+lexicographic order, the leaf order of the depth-first candidate search,
+so the signatures that begin with a given prefix form one contiguous run.
+Two rules are settled on a prefix that ends where a new order d opens:
+
+- missing_divisor: every entry after the prefix is at least d.  A divisor
+  k of d with 2 < k < d that is not an entry of the prefix is therefore
+  missing from every signature on the run.
+- sylow_count: opening d closes the run of the previous order p, so no
+  later entry adds to n_p.  If p is an odd prime with n_p % p != 1, the
+  rule fires on the entry p itself in every signature on the run.
+
+``revised_table`` skips such a run as a whole, as the search would cut the
+branch.  Each signature skipped is thus excluded by a rule, and each one
+left still goes through ``apply_rules``, so the survivors are those of
+judging every candidate, in the same order.
 """
 
 from __future__ import annotations
@@ -190,10 +207,43 @@ def apply_rules(sig: Signature) -> Verdict:
                    RECORDED_JUSTIFICATIONS.get(entries))
 
 
+def _settled_prefix(entries: tuple[int, ...]) -> int:
+    """Length of the shortest prefix, ending where an order opens, on which
+    missing_divisor or sylow_count already fires; 0 if there is none.  The
+    module docstring has the proof."""
+    seen: set[int] = set()
+    p = run = 0  # the order of the open run, and its length so far
+    for i, d in enumerate(entries):
+        if d == p:
+            run += 1
+            continue
+        if run and _odd_prime_divisors(p) == (p,) and run % p != 1:
+            return i + 1
+        seen.add(d)
+        if not seen >= _divisors_over_2(d):
+            return i + 1
+        p, run = d, 1
+    return 0
+
+
 def revised_table(delta: int) -> list[Signature]:
-    """Signatures for this delta that survive every exclusion rule, sorted."""
-    return [c.signature for c in enumerate_candidates(delta)
-            if not apply_rules(c.signature).excluded]
+    """Signatures for this delta that survive every exclusion rule, sorted.
+
+    A run of candidates below a prefix that ``_settled_prefix`` finds is
+    skipped; every other candidate is judged by ``apply_rules``.
+    """
+    survivors = []
+    cut = ()  # the last settled prefix
+    for candidate in enumerate_candidates(delta):
+        sig = candidate.signature
+        if cut and sig.entries[:len(cut)] == cut:
+            continue
+        settled = _settled_prefix(sig.entries)
+        if settled:
+            cut = sig.entries[:settled]
+        elif not apply_rules(sig).excluded:
+            survivors.append(sig)
+    return survivors
 
 
 # Curated justification for each excluded signature with delta <= 5, as

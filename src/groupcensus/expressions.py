@@ -15,11 +15,13 @@ in 0-based cycle notation.
 from __future__ import annotations
 
 import re
+from typing import Callable, TypeVar
 
-from .groups import (GroupTable, direct_product, from_permutations,
-                     inversion_action, make_alternating, make_cyclic,
-                     make_dicyclic, make_dihedral, make_quasidihedral,
-                     make_symmetric, parse_generators, semidirect_product)
+from .groups import (MAX_ORDER, GroupTable, direct_product,
+                     from_permutations, inversion_action, make_alternating,
+                     make_cyclic, make_dicyclic, make_dihedral,
+                     make_quasidihedral, make_symmetric, parse_generators,
+                     semidirect_product)
 
 
 class GroupExpressionError(ValueError):
@@ -47,6 +49,8 @@ _CONSTRUCTORS = {
 # expression comes close: each level at least doubles the order.
 MAX_NESTING = 32
 
+T = TypeVar("T")
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -56,6 +60,13 @@ class _Parser:
 
     def error(self, message: str) -> GroupExpressionError:
         return GroupExpressionError(message, self.pos)
+
+    def build(self, make: Callable[..., T], *args, **kwargs) -> T:
+        """make(*args, **kwargs), its ValueError raised at this position."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as err:
+            raise self.error(str(err)) from None
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -80,7 +91,8 @@ class _Parser:
             self.skip_ws()
             if self.text.startswith("x", self.pos):
                 self.pos += 1
-                result = direct_product(result, self.parse_term())
+                right = self.parse_term()
+                result = self.build(direct_product, result, right)
             else:
                 return result
 
@@ -109,7 +121,8 @@ class _Parser:
                 f"inversion action needs an abelian base, {normal.name} is not")
         if acting.order != 2:
             raise self.error("the inversion action is an action of C2")
-        return semidirect_product(normal, acting, inversion_action(normal))
+        return self.build(semidirect_product, normal, acting,
+                          inversion_action(normal))
 
     def parse_perm(self) -> GroupTable:
         self.expect("perm[")
@@ -118,21 +131,21 @@ class _Parser:
             raise self.error("unterminated perm[...]")
         body = self.text[self.pos:end]
         self.pos = end + 1
-        try:
-            return from_permutations(parse_generators(body), name="perm")
-        except ValueError as err:
-            raise self.error(str(err)) from None
+        gens = self.build(parse_generators, body)
+        return self.build(from_permutations, gens, name="perm")
 
     def parse_name(self) -> GroupTable:
         match = _NAME.match(self.text, self.pos)
         if match is None:
             raise self.error("expected a group name, sd(...) or perm[...]")
         self.pos = match.end()
-        kind, size = match.group(1), int(match.group(2))
+        kind, digits = match.groups()
         try:
-            return _CONSTRUCTORS[kind](size)
-        except ValueError as err:
-            raise self.error(str(err)) from None
+            size = int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(
+                f"a {len(digits)}-digit size exceeds {MAX_ORDER}") from None
+        return self.build(_CONSTRUCTORS[kind], size)
 
 
 def parse_group(expr: str) -> GroupTable:

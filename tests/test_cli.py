@@ -71,10 +71,9 @@ def test_analyze_perm_cost_follows_the_text():
 
 
 def test_analyze_parse_error_is_usage_error():
-    code, _ = run_cli("analyze", "C100")
-    assert code == 2
-    code, _ = run_cli("analyze", "notagroup")
-    assert code == 2
+    for expr in ("C100", "notagroup", "C" + "9" * 5000, "C4xC4xC4xC4"):
+        code, _ = run_cli("analyze", expr)
+        assert code == 2
 
 
 def test_candidates_counts():
@@ -222,7 +221,8 @@ def test_json_writer_matches_the_standard_encoder():
                "flags": [True, False, None],
                "text": ["plain", "quote \" and \\", "tab\tline\n",
                         "caf\u00e9 \u2200", ""],
-               "nested": [[[]], [{"a": [1, {"b": None}]}]]}
+               "nested": [[[]], [{"a": [1, {"b": None}]}]],
+               "mixed": [1, True, None, "x", [2], 3]}
     out = io.StringIO()
     cli._emit_json(out, payload)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from groupcensus import (RECORDED_JUSTIFICATIONS, Signature, apply_rules,
                          enumerate_candidates, revised_table, rule_registry)
+from groupcensus import exclusion
 from groupcensus.census import euler_phi
 
 RULE_IDS = [
@@ -97,6 +98,50 @@ def test_revised_table_sorted_and_deterministic():
     first = revised_table(6)
     assert first == revised_table(6)
     assert first == sorted(first)
+
+
+# ---------------------------------------------------------------------------
+# oracle: revised_table skips the runs of candidates below a settled prefix;
+# judging every candidate must give the same survivors in the same order
+
+
+def judged_by_revised_table(monkeypatch, delta):
+    """revised_table(delta) and the signatures it handed to apply_rules."""
+    judged = []
+
+    def recording(sig):
+        judged.append(sig)
+        return apply_rules(sig)
+
+    monkeypatch.setattr(exclusion, "apply_rules", recording)
+    survivors = revised_table(delta)
+    monkeypatch.undo()
+    return survivors, judged
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_revised_table_matches_judging_every_candidate(delta):
+    assert revised_table(delta) == [
+        c.signature for c in enumerate_candidates(delta)
+        if not apply_rules(c.signature).excluded]
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_prune_cuts_only_what_its_two_rules_exclude(monkeypatch, delta):
+    _, judged = judged_by_revised_table(monkeypatch, delta)
+    candidates = [c.signature for c in enumerate_candidates(delta)]
+    kept = set(judged)
+    assert judged == [sig for sig in candidates if sig in kept]
+    for sig in candidates:
+        if sig not in kept:
+            fired = apply_rules(sig).fired_rules
+            assert {"missing_divisor", "sylow_count"} & set(fired), sig
+
+
+def test_prune_is_in_effect(monkeypatch):
+    # 763 of the 8,525 candidates for delta 16 reach apply_rules
+    survivors, judged = judged_by_revised_table(monkeypatch, 16)
+    assert (len(judged), len(survivors)) == (763, 202)
 
 
 def test_no_rule_fires_on_real_groups(catalog):

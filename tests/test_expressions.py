@@ -53,6 +53,15 @@ def test_parse_errors_carry_position():
         parse_group("perm[(0 1")
     with pytest.raises(GroupExpressionError):
         parse_group("")
+    # a size too long for int() and a product above order 64 are reported
+    # by the parser, not by the interpreter or the table builder
+    for text, position, message in [
+            ("C" + "9" * 5000, 5001, "a 5000-digit size exceeds 64"),
+            ("C4xC4xC4xC4", 11, "product order 256 exceeds 64"),
+            ("sd(C4xC4xC4, C2, inv)", 21, "product order 128 exceeds 64")]:
+        with pytest.raises(GroupExpressionError, match=message) as err:
+            parse_group(text)
+        assert err.value.position == position
 
 
 def test_nesting_depth_is_bounded():
