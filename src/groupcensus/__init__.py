@@ -14,13 +14,13 @@ from .catalog import (CatalogEntry, CatalogError, EXPECTED_GROUP_COUNTS,
                       MAX_CATALOG_ORDER, catalog_search, catalog_tables,
                       catalog_validate, load_catalog)
 from .census import (CensusReport, Signature, census, count_solutions,
-                     cyclic_subgroups, euler_phi, phi_inverse)
+                     euler_phi, phi_inverse)
 from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, Verdict,
                         apply_rules, revised_table, rule_registry)
 from .expressions import GroupExpressionError, parse_group
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
                      MAX_ORDER, action_from_generator_images, cycle_string,
-                     direct_product, element_order, from_permutations,
+                     direct_product, from_permutations,
                      generated_subgroup, inversion_action, make_alternating,
                      make_cyclic, make_dicyclic, make_dihedral,
                      make_quasidihedral, make_symmetric, parse_generators,
@@ -46,7 +46,7 @@ __all__ = [
     "action_from_generator_images", "apply_rules", "catalog_search",
     "catalog_tables", "catalog_validate", "census",
     "conjugacy_classes", "count_solutions", "cycle_string",
-    "cyclic_subgroups", "derived_subgroup", "direct_product", "element_order",
+    "derived_subgroup", "direct_product",
     "enumerate_candidates", "euler_phi", "explore",
     "extend_generator_map", "from_permutations", "generated_subgroup",
     "generating_set", "integer_partitions", "inversion_action",

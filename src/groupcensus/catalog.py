@@ -101,9 +101,9 @@ def _built_catalog() -> tuple[tuple[CatalogEntry, GroupTable, CensusReport], ...
     return tuple(out)
 
 
-def catalog_tables() -> list[tuple[CatalogEntry, GroupTable, CensusReport]]:
+def catalog_tables() -> tuple[tuple[CatalogEntry, GroupTable, CensusReport], ...]:
     """Every catalog entry with its built table and census, cached."""
-    return list(_built_catalog())
+    return _built_catalog()
 
 
 def catalog_search(max_order: int, delta: int | None = None,

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .groups import GroupConstructionError, GroupTable
+from .groups import GroupTable
 
 
 def euler_phi(d: int) -> int:
@@ -150,45 +150,15 @@ class CensusReport(NamedTuple):
         }
 
 
-def cyclic_subgroups(g: GroupTable) -> set[tuple[int, ...]]:
-    """The set {<x> : x in G}, each as its sorted member tuple.
-
-    ``census`` counts the same subgroups from the element-order histogram;
-    this set-based construction stays as the independent reference.  Raises
-    GroupConstructionError when the powers of some element do not reach 0
-    within ``order`` steps, which only an unvalidated non-group can do.
-    """
-    found: set[tuple[int, ...]] = set()
-    for x in range(g.order):
-        members = [0]
-        acc = x
-        while acc != 0:
-            if len(members) == g.order:
-                raise GroupConstructionError(
-                    f"{g.name} is not a group: the powers of element {x} do"
-                    f" not reach 0 within {g.order} steps")
-            members.append(acc)
-            acc = g.product[acc][x]
-        found.add(tuple(sorted(members)))
-    return found
-
-
 def census(g: GroupTable) -> CensusReport:
     """Full cyclic-subgroup census of a group table.
 
     A cyclic subgroup of order d has exactly phi(d) generators, so n_d is
-    the number of elements of order d divided by phi(d).  The division must
-    be exact in any group; a remainder means the table is not one.
+    the number of elements of order d divided by phi(d), exactly, since
+    every GroupTable is a group.
     """
     counts = Counter(g.element_orders())
-    n_d = []
-    for d in sorted(counts):
-        phi = euler_phi(d)
-        if counts[d] % phi:
-            raise GroupConstructionError(
-                f"{g.name} is not a group: it has {counts[d]} elements of"
-                f" order {d}, not a multiple of phi({d}) = {phi}")
-        n_d.append((d, counts[d] // phi))
+    n_d = [(d, counts[d] // euler_phi(d)) for d in sorted(counts)]
     total = sum(count for _d, count in n_d)
     sigma = Signature.from_iterable(
         d for d, count in n_d for _ in range(count) if d > 2)

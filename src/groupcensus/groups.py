@@ -113,15 +113,13 @@ class GroupTable:
     __slots__ = ("order", "product", "inverse", "name", "_orders", "_abelian",
                  "_profile", "_classes")
 
-    def __init__(self, product: Sequence[Sequence[int]], name: str = "G",
-                 validate: bool = True):
+    def __init__(self, product: Sequence[Sequence[int]], name: str = "G"):
         rows = tuple(bytes(row) for row in product)
         n = len(rows)
         if not 1 <= n <= MAX_ORDER:
             raise GroupConstructionError(
                 f"group order must be in 1..{MAX_ORDER}, got {n}")
-        if validate:
-            _validate_table(rows, n)
+        _validate_table(rows, n)
         self.order = n
         self.product = rows
         self.inverse = bytes(row.index(0) for row in rows)
@@ -151,27 +149,17 @@ class GroupTable:
         return self._abelian
 
     def element_orders(self) -> tuple[int, ...]:
-        """Order of every element, indexed by element.
-
-        Raises GroupConstructionError when some element's powers do not
-        reach 0 within ``order`` steps, which only an unvalidated table that
-        is not a group can do.
-        """
+        """Order of every element, indexed by element: the least k >= 1
+        with x^k = 0, which divides the group order."""
         if self._orders is None:
             product = self.product
-            steps = range(2, self.order + 1)
             orders = [1]
             for x in range(1, self.order):
-                acc = x
-                for k in steps:
+                acc, k = x, 1
+                while acc:
                     acc = product[acc][x]
-                    if acc == 0:
-                        orders.append(k)
-                        break
-                else:
-                    raise GroupConstructionError(
-                        f"{self.name} is not a group: the powers of element"
-                        f" {x} do not reach 0 within {self.order} steps")
+                    k += 1
+                orders.append(k)
             self._orders = tuple(orders)
         return self._orders
 
@@ -251,13 +239,6 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
 
 # ---------------------------------------------------------------------------
 # element-level operations
-
-
-def element_order(g: GroupTable, x: int) -> int:
-    """Least k >= 1 with x^k = identity; always divides the group order."""
-    if not 0 <= x < g.order:
-        raise ValueError(f"element index {x} out of range for order {g.order}")
-    return g.element_orders()[x]
 
 
 def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:

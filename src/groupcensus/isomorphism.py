@@ -1,6 +1,6 @@
 """Isomorphism testing for small group tables.
 
-Cheap invariants (order, commutativity, element-order histogram, centre and
+Cheap invariants (order, element-order histogram, centre and
 derived-subgroup sizes, conjugacy class sizes, square-root histogram)
 settle every pair of distinct catalog groups; the pairs they cannot
 separate fall to a backtracking search that maps a generating set of one
@@ -33,14 +33,9 @@ class UnsupportedOrderError(ValueError):
 
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """Subgroup generated by all commutators."""
-    return _derived_subgroup(g, conjugacy_classes(g))
-
-
-def _derived_subgroup(g: GroupTable,
-                      classes: list[tuple[int, ...]]) -> tuple[int, ...]:
     # [x, y] = x (y x^-1 y^-1), and y x^-1 y^-1 runs over the class of x^-1
     class_of: dict[int, tuple[int, ...]] = {}
-    for cls in classes:
+    for cls in conjugacy_classes(g):
         for y in cls:
             class_of[y] = cls
     commutators = set()
@@ -144,12 +139,11 @@ def _profile(g: GroupTable) -> tuple:
     """
     if g._profile is None:
         hist = tuple(sorted(Counter(g.element_orders()).items()))
-        classes = conjugacy_classes(g)
-        class_sizes = tuple(sorted(len(c) for c in classes))
+        class_sizes = tuple(sorted(len(c) for c in conjugacy_classes(g)))
         roots = Counter(b"".join(g.product)[::g.order + 1])
-        # the centre is the union of the classes of size 1
-        g._profile = (g.order, g.is_abelian, hist, class_sizes.count(1),
-                      len(_derived_subgroup(g, classes)), class_sizes,
+        # the centre is the union of the classes of size 1 (all, if abelian)
+        g._profile = (g.order, hist, class_sizes.count(1),
+                      len(derived_subgroup(g)), class_sizes,
                       tuple(sorted(Counter(roots.values()).items())))
     return g._profile
 
@@ -169,8 +163,10 @@ def _element_keys(g: GroupTable) -> list[tuple[int, int]]:
 def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
     """Whether two group tables are isomorphic.
 
-    Exact for orders up to 32; larger groups raise UnsupportedOrderError
-    rather than risk a wrong answer.
+    The answer is exact at any order, but orders above 32 raise
+    UnsupportedOrderError to bound the running time: the search tries a
+    generator map only once every generator has an image, with no
+    pruning of partial maps.
     """
     if a.order > ISOMORPHISM_ORDER_BOUND or b.order > ISOMORPHISM_ORDER_BOUND:
         raise UnsupportedOrderError(

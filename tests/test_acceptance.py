@@ -9,10 +9,11 @@ import functools
 import time
 
 from test_candidates import TABLES
+from test_census import cyclic_subgroups
 
 from groupcensus import (RECORDED_JUSTIFICATIONS, Signature, apply_rules,
                          catalog_tables, catalog_validate, census,
-                         count_solutions, cyclic_subgroups, direct_product,
+                         count_solutions, direct_product,
                          enumerate_candidates, euler_phi, explore,
                          is_isomorphic, make_cyclic, parse_group,
                          property_suite, revised_table, theorem_claims)

@@ -159,6 +159,18 @@ def test_catalog_bounds_error():
     ("catalog", "--max-order", "0"),
     ("catalog", "--max-order", "-5"),
     ("catalog", "--delta", "-1"),
+    ("catalog", "--sigma", ",,"),
+    ("catalog", "--sigma", "2"),
+    ("catalog", "--sigma", "-3"),
+    ("catalog", "--sigma", "3" * 5000),  # past Python's int-digit limit
+    ("explore", "--delta", "0"),
+    ("explore", "--delta", "17"),
+    ("candidates", "--delta", "0"),
+    ("candidates", "--delta", "17"),
+    ("exclude", "--delta", "0"),
+    ("exclude", "--delta", "17"),
+    ("verify", "--delta", "0"),
+    ("verify", "--delta", "6"),
 ])
 def test_catalog_edge_values_are_usage_errors(argv, capsys):
     code, text = run_cli(*argv)

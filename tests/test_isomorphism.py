@@ -177,7 +177,7 @@ def test_invariant_kernels_match_pair_loops(catalog, claim_tables,
         assert _element_keys(g) == element_keys_oracle(g), g.name
         fresh = g.renamed(g.name)
         fresh._profile = None
-        assert _profile(fresh)[3:5] == (len(center_oracle(g)),
+        assert _profile(fresh)[2:4] == (len(center_oracle(g)),
                                         len(derived_subgroup_oracle(g)))
 
 
