@@ -15,8 +15,8 @@ from .catalog import (CatalogEntry, CatalogError, EXPECTED_GROUP_COUNTS,
                       catalog_validate, load_catalog)
 from .census import (CensusReport, Signature, census, count_solutions,
                      euler_phi, phi_inverse)
-from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, Verdict,
-                        apply_rules, revised_table, rule_registry)
+from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, RULES,
+                        Verdict, apply_rules, revised_table)
 from .expressions import GroupExpressionError, parse_group
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
                      MAX_ORDER, action_from_generator_images, cycle_string,
@@ -41,7 +41,7 @@ __all__ = [
     "CensusReport", "CheckResult", "ClaimResult", "EXPECTED_GROUP_COUNTS",
     "ExclusionRule", "GroupConstructionError", "GroupExpressionError",
     "GroupRecipe", "GroupTable", "InvalidActionError", "MAX_CATALOG_ORDER",
-    "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "Signature", "SurvivorReport",
+    "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "RULES", "Signature", "SurvivorReport",
     "TheoremClaim", "UnsupportedOrderError", "VerificationReport", "Verdict",
     "action_from_generator_images", "apply_rules", "catalog_search",
     "catalog_tables", "catalog_validate", "census",
@@ -54,6 +54,6 @@ __all__ = [
     "load_catalog", "make_alternating", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quasidihedral", "make_symmetric",
     "parse_generators", "parse_group", "phi_inverse", "property_suite",
-    "revised_table", "rule_registry", "semidirect_product",
+    "revised_table", "semidirect_product",
     "theorem_claims", "verify_all", "verify_theorem",
 ]

@@ -95,6 +95,12 @@ def enumerate_candidates(delta: int) -> list[Candidate]:
     _check_delta(delta)
     orders = sorted(d for m in range(1, delta + 1, 2)
                     for d in phi_inverse(m + 1))
+    # every entry below is orders[j], j at least the index of the entry
+    # before it, so strictly ascending orders above 2 make every emitted
+    # tuple a sorted signature above 2, each once: checked here, not per
+    # candidate
+    if any(a >= b for a, b in zip((2, *orders), orders)):
+        raise ValueError(f"candidate orders must ascend above 2: {orders}")
     weights = [_weight(d) for d in orders]
     # an unbounded knapsack over the suffixes of orders, from the last one
     reach = [frozenset((0,))]
@@ -123,4 +129,6 @@ def enumerate_candidates(delta: int) -> list[Candidate]:
                 found.append(entries + (d,))
 
     extend(0, delta, ())
-    return [Candidate(Signature(entries)) for entries in found]
+    # tuple.__new__ skips the NamedTuple constructor's Python frame
+    of_sorted, new = Signature._of_sorted, tuple.__new__
+    return [new(Candidate, (of_sorted(entries),)) for entries in found]

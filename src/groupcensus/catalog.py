@@ -1,7 +1,7 @@
 """Bundled catalog of every isomorphism type of group of order at most 24.
 
-Entries are stored as permutation generator lists in a plain-text data file
-and validated at load: each entry must close to its stated order, entries of
+Entries are stored as generator image lists in a plain-text data file and
+validated at load: each entry must close to its stated order, entries of
 equal order must be pairwise non-isomorphic, and the per-order counts must
 match the known enumeration of small groups.  Together those checks make
 the catalog provably complete through order 24.
@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .census import CensusReport, Signature, census
-from .groups import GroupTable, from_permutations, parse_generators
+from .groups import GroupTable, from_permutations
 from .isomorphism import isomorphism_classes
 from .report import CheckResult, VerificationReport
 
@@ -63,9 +63,15 @@ def _parse_line(line: str, lineno: int) -> CatalogEntry:
         index = int(parts[1])
     except ValueError as err:
         raise CatalogError(f"line {lineno}: bad order/index: {err}") from None
-    gens = parse_generators(parts[3][len("gens="):])
-    if not gens:
-        raise CatalogError(f"line {lineno}: no generators given")
+    # each generator is an image list; from_permutations checks that the
+    # lists share a degree and are bijections
+    try:
+        gens = tuple(tuple(map(int, chunk.split()))
+                     for chunk in parts[3][len("gens="):].split(";"))
+    except ValueError as err:
+        raise CatalogError(f"line {lineno}: bad image: {err}") from None
+    if not all(gens):
+        raise CatalogError(f"line {lineno}: empty generator in {parts[3]!r}")
     return CatalogEntry(order, index, parts[2], gens)
 
 

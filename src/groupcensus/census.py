@@ -100,6 +100,15 @@ class Signature:
         return f"Signature(entries={self.entries!r})"
 
     @classmethod
+    def _of_sorted(cls, entries: tuple[int, ...]) -> "Signature":
+        """A signature of entries the caller has already proved sorted and
+        above 2, without the per-signature checks; ``enumerate_candidates``
+        checks its orders once per search instead."""
+        sig = object.__new__(cls)
+        sig.entries = entries
+        return sig
+
+    @classmethod
     def of(cls, *entries: int) -> "Signature":
         return cls(tuple(sorted(entries)))
 

@@ -62,7 +62,7 @@ def _odd_prime_divisors(m: int) -> tuple[int, ...]:
                         if euler_phi(p) == p - 1))
 
 
-_RULES = (
+RULES = (
     ExclusionRule(
         "missing_divisor",
         "an entry has a divisor greater than 2 that is not itself an entry"),
@@ -115,11 +115,6 @@ _RULES = (
         " action on the normal C3 yields a third 4 or an element of"
         " order 12"),
 )
-
-
-def rule_registry() -> list[ExclusionRule]:
-    """The exclusion rules, in their fixed evaluation order."""
-    return list(_RULES)
 
 
 def apply_rules(sig: Signature) -> Verdict:
@@ -207,21 +202,30 @@ def apply_rules(sig: Signature) -> Verdict:
                    RECORDED_JUSTIFICATIONS.get(entries))
 
 
+@cache
+def _opening_facts(d: int) -> tuple[frozenset[int], bool]:
+    """What opening an order d settles on a prefix: its divisors above 2
+    other than d, and whether d is an odd prime."""
+    return _divisors_over_2(d) - {d}, _odd_prime_divisors(d) == (d,)
+
+
 def _settled_prefix(entries: tuple[int, ...]) -> int:
     """Length of the shortest prefix, ending where an order opens, on which
     missing_divisor or sylow_count already fires; 0 if there is none.  The
     module docstring has the proof."""
     seen: set[int] = set()
     p = run = 0  # the order of the open run, and its length so far
+    odd_prime = False  # whether p is an odd prime
     for i, d in enumerate(entries):
         if d == p:
             run += 1
             continue
-        if run and _odd_prime_divisors(p) == (p,) and run % p != 1:
+        if odd_prime and run % p != 1:
+            return i + 1
+        divisors, odd_prime = _opening_facts(d)
+        if not seen >= divisors:
             return i + 1
         seen.add(d)
-        if not seen >= _divisors_over_2(d):
-            return i + 1
         p, run = d, 1
     return 0
 
@@ -233,14 +237,15 @@ def revised_table(delta: int) -> list[Signature]:
     skipped; every other candidate is judged by ``apply_rules``.
     """
     survivors = []
-    cut = ()  # the last settled prefix
+    cut, length = (), 0  # the last settled prefix and its length
     for candidate in enumerate_candidates(delta):
         sig = candidate.signature
-        if cut and sig.entries[:len(cut)] == cut:
+        entries = sig.entries
+        if length and entries[:length] == cut:
             continue
-        settled = _settled_prefix(sig.entries)
-        if settled:
-            cut = sig.entries[:settled]
+        length = _settled_prefix(entries)
+        if length:
+            cut = entries[:length]
         elif not apply_rules(sig).excluded:
             survivors.append(sig)
     return survivors

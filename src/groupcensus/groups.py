@@ -142,10 +142,11 @@ class GroupTable:
 
     @property
     def is_abelian(self) -> bool:
+        """Whether every row equals its column: y*b = b*y for all b."""
         if self._abelian is None:
-            self._abelian = all(
-                self.product[a][b] == self.product[b][a]
-                for a in range(self.order) for b in range(a + 1, self.order))
+            rows, n = self.product, self.order
+            flat = b"".join(rows)
+            self._abelian = all(rows[y] == flat[y::n] for y in range(n))
         return self._abelian
 
     def element_orders(self) -> tuple[int, ...]:

@@ -268,10 +268,11 @@ def _check_doubling() -> CheckResult:
     # delta(G x C2) = 2 delta(G); checked for every catalog group that
     # stays censusable after doubling
     checked = 0
+    c2 = make_cyclic(2)
     for entry, table, rep in catalog_tables():
         if entry.order > 12:
             continue
-        doubled = census(direct_product(table, make_cyclic(2)))
+        doubled = census(direct_product(table, c2))
         if doubled.delta != 2 * rep.delta:
             return CheckResult(
                 "doubling", False,

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcensus import (CandidateRow, Signature, enumerate_candidates,
-                         euler_phi, integer_partitions, phi_inverse)
+import groupcensus.candidates
+from groupcensus import (Candidate, CandidateRow, Signature,
+                         enumerate_candidates, euler_phi, integer_partitions,
+                         phi_inverse)
 
 # enumerate_candidates and explore for delta = 6..16, captured from the
 # trial-division phi_inverse before its replacement
@@ -241,6 +243,31 @@ def test_direct_enumeration_matches_partition_oracle(delta):
         assert cand.rows == rows  # partition and choices, field by field
         assert [r.factorization for r in cand.rows] == \
             [r.factorization for r in rows]
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_candidates_equal_checked_signatures(delta):
+    # the search builds its signatures without the per-signature checks;
+    # each must equal the one the checked constructor builds
+    for cand in enumerate_candidates(delta):
+        assert type(cand) is Candidate
+        sig = cand.signature
+        assert type(sig) is Signature and type(sig.entries) is tuple
+        checked = Signature(sig.entries)
+        assert sig == checked and hash(sig) == hash(checked)
+
+
+@pytest.mark.parametrize("extra", [[2], [1], [4]])
+def test_orders_checked_once_per_search(monkeypatch, extra):
+    # an order of at most 2, or one listed twice, would emit entries the
+    # checked constructor refuses or the same signature twice
+    def phi_inverse_with_extra(m):
+        return phi_inverse(m) + extra if m == 2 else phi_inverse(m)
+
+    monkeypatch.setattr(groupcensus.candidates, "phi_inverse",
+                        phi_inverse_with_extra)
+    with pytest.raises(ValueError, match="ascend above 2"):
+        enumerate_candidates(3)
 
 
 def test_delta_out_of_range():

@@ -1,5 +1,6 @@
 """The bundled catalog: loading, validation and search."""
 
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -10,8 +11,9 @@ import pytest
 from test_isomorphism import relabelled
 
 import groupcensus.catalog
-from groupcensus import (EXPECTED_GROUP_COUNTS, Signature, catalog_search,
-                         catalog_validate, census, load_catalog)
+from groupcensus import (EXPECTED_GROUP_COUNTS, CatalogError, Signature,
+                         catalog_search, catalog_validate, census,
+                         load_catalog)
 
 
 def test_load_shape():
@@ -49,6 +51,38 @@ def test_generator_reproduces_bundled_file():
     bundled = pathlib.Path(groupcensus.catalog.__file__).parent / "data" / (
         groupcensus.catalog.DATA_FILE)
     assert tool.render() == bundled.read_text(encoding="utf-8")
+
+
+def test_built_tables_pinned(catalog):
+    # the 74 tables closed from the image lists, byte for byte as they were
+    # closed from the cycle strings the catalog file held before
+    digest = hashlib.sha256()
+    for _entry, table, _report in catalog:
+        digest.update(b"".join(table.product))
+    assert digest.hexdigest() == (
+        "99cce82516509e90f712be3dbce7cced90028ecf86125e43db860ea2a40e9edb")
+
+
+@pytest.mark.parametrize("gens,message", [
+    ("1 2 x", "line 7: bad image"),
+    ("1 2 0;", "line 7: empty generator"),
+    ("", "line 7: empty generator"),
+    ("1 2 0;;2 0 1", "line 7: empty generator"),
+])
+def test_malformed_generators_name_the_line(gens, message):
+    with pytest.raises(CatalogError, match=message):
+        groupcensus.catalog._parse_line(f"3 0 C3 gens={gens}", 7)
+
+
+def test_unequal_degrees_fail_catalog_load(monkeypatch):
+    entry = groupcensus.catalog._parse_line("3 0 C3 gens=1 2 0;1 0", 7)
+    assert entry.generators == ((1, 2, 0), (1, 0))
+    monkeypatch.setattr(groupcensus.catalog, "load_catalog", lambda: (entry,))
+    monkeypatch.setattr(groupcensus.catalog, "catalog_tables",
+                        groupcensus.catalog._built_catalog.__wrapped__)
+    report = catalog_validate()
+    assert [(c.name, c.passed, c.detail) for c in report.sweep] == [
+        ("catalog_load", False, "all generators must share a degree")]
 
 
 def test_expected_counts_table():

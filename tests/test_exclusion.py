@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcensus import (RECORDED_JUSTIFICATIONS, Signature, apply_rules,
-                         enumerate_candidates, revised_table, rule_registry)
+from groupcensus import (RECORDED_JUSTIFICATIONS, RULES, Candidate,
+                         Signature, apply_rules, enumerate_candidates,
+                         revised_table)
 from groupcensus import exclusion
 from groupcensus.census import euler_phi
 
@@ -37,8 +38,9 @@ def recorded_by_delta(delta):
 
 
 def test_registry_ids_and_order():
-    assert [rule.id for rule in rule_registry()] == RULE_IDS
-    for rule in rule_registry():
+    assert type(RULES) is tuple
+    assert [rule.id for rule in RULES] == RULE_IDS
+    for rule in RULES:
         assert rule.description
 
 
@@ -142,6 +144,55 @@ def test_prune_is_in_effect(monkeypatch):
     # 763 of the 8,525 candidates for delta 16 reach apply_rules
     survivors, judged = judged_by_revised_table(monkeypatch, 16)
     assert (len(judged), len(survivors)) == (763, 202)
+
+
+def test_revised_table_lists_every_candidate_once(monkeypatch):
+    # a traced run counts the candidates of the one enumerate_candidates
+    # call and their rows, so revised_table must still list all of them
+    calls = []
+
+    def recording(delta):
+        calls.append(enumerate_candidates(delta))
+        return calls[-1]
+
+    monkeypatch.setattr(exclusion, "enumerate_candidates", recording)
+    revised_table(16)
+    (listed,) = calls
+    assert len(listed) == 8525
+    assert all(type(c) is Candidate and len(c.rows) == 1 for c in listed)
+
+
+def settled_prefix_oracle(entries):
+    """The prefix test as first written: for each order that opens, one
+    lookup of its divisors and one of its odd prime divisors."""
+    seen = set()
+    p = run = 0
+    for i, d in enumerate(entries):
+        if d == p:
+            run += 1
+            continue
+        if run and _odd_prime_divisors(p) == (p,) and run % p != 1:
+            return i + 1
+        seen.add(d)
+        if not seen.issuperset(_divisors_over_2(d)):
+            return i + 1
+        p, run = d, 1
+    return 0
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_settled_prefix_matches_oracle_on_candidates(delta):
+    for cand in enumerate_candidates(delta):
+        entries = cand.signature.entries
+        assert exclusion._settled_prefix(entries) == \
+            settled_prefix_oracle(entries), entries
+
+
+@given(st.lists(st.integers(3, 60), max_size=12).map(sorted))
+def test_settled_prefix_matches_oracle_on_random_signatures(entries):
+    entries = tuple(entries)
+    assert exclusion._settled_prefix(entries) == \
+        settled_prefix_oracle(entries)
 
 
 def test_no_rule_fires_on_real_groups(catalog):

@@ -129,6 +129,22 @@ def test_validator_accepts_catalog_and_claims(catalog, claim_tables):
         assert accepts(g.product), g.name
 
 
+def all_pairs_commute(rows):
+    """The is_abelian oracle: a*b == b*a for every pair, one by one."""
+    n = len(rows)
+    return all(rows[a][b] == rows[b][a]
+               for a in range(n) for b in range(a + 1, n))
+
+
+def test_is_abelian_matches_all_pairs_oracle(catalog, claim_tables,
+                                             order_64_products):
+    tables = ([table for _entry, table, _report in catalog] + claim_tables
+              + order_64_products)
+    verdicts = [GroupTable(g.product, g.name).is_abelian for g in tables]
+    assert verdicts == [all_pairs_commute(g.product) for g in tables]
+    assert 0 < sum(verdicts) < len(tables)
+
+
 def swapped_intercalate(g, t, a, c):
     """g's table with the 2x2 Latin subsquare on rows a, a*t and columns
     c, t*c swapped; t is an involution and a, c lie outside {0, t}, so

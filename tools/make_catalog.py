@@ -3,8 +3,9 @@
 
 Builds one representative of every isomorphism type of group of order at
 most 24 from the library's constructors, finds a small generating set for
-each, and writes the generators as permutations of the group's own elements
-(left multiplication).  Output is deterministic; run from the repo root:
+each, and writes each generator g as its image list: row g of the Cayley
+table, the permutation of the group's own elements by left multiplication.
+Output is deterministic; run from the repo root:
 
     python tools/make_catalog.py
 """
@@ -15,7 +16,7 @@ import pathlib
 import sys
 
 from groupcensus import (GroupTable, action_from_generator_images,
-                         cycle_string, direct_product,
+                         direct_product,
                          extend_generator_map, generating_set,
                          inversion_action, make_alternating, make_cyclic,
                          make_dicyclic, make_dihedral, make_quasidihedral,
@@ -186,9 +187,10 @@ GROUPS: list[tuple[int, str, object]] = [
 def render() -> str:
     """The text of the catalog data file."""
     lines = ["# Every isomorphism type of group of order <= 24.",
-             "# Format: order index label gens=(cycles);(cycles)...",
-             "# Generators act on the group's own elements by left"
-             " multiplication;",
+             "# Format: order index label gens=images;images...",
+             "# A generator g is row g of the group's Cayley table: the"
+             " images",
+             "# of the elements 0..n-1 under left multiplication by g;",
              "# regenerate with tools/make_catalog.py."]
     index: dict[int, int] = {}
     for order, label, build in GROUPS:
@@ -196,7 +198,8 @@ def render() -> str:
         if table.order != order:
             raise SystemExit(f"{label}: built order {table.order}, wanted {order}")
         gens = generating_set(table) or [0]
-        gens_text = ";".join(cycle_string(table.product[g]) for g in gens)
+        gens_text = ";".join(" ".join(map(str, table.product[g]))
+                             for g in gens)
         idx = index.get(order, 0)
         index[order] = idx + 1
         lines.append(f"{order} {idx} {label} gens={gens_text}")
