@@ -13,18 +13,17 @@ from .candidates import (Candidate, CandidateRow, enumerate_candidates,
 from .catalog import (CatalogEntry, CatalogError, EXPECTED_GROUP_COUNTS,
                       MAX_CATALOG_ORDER, catalog_search, catalog_tables,
                       catalog_validate, load_catalog)
-from .census import (CensusReport, Signature, census, count_solutions,
-                     euler_phi, phi_inverse)
+from .census import (CensusReport, census, count_solutions, euler_phi,
+                     phi_inverse)
 from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, RULES,
                         Verdict, apply_rules, revised_table)
 from .expressions import GroupExpressionError, parse_group
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
-                     MAX_ORDER, action_from_generator_images, cycle_string,
-                     direct_product, from_permutations,
-                     generated_subgroup, inversion_action, make_alternating,
-                     make_cyclic, make_dicyclic, make_dihedral,
-                     make_quasidihedral, make_symmetric, parse_generators,
-                     semidirect_product)
+                     MAX_ORDER, action_from_generator_images,
+                     direct_product, from_permutations, generated_subgroup,
+                     inversion_action, make_alternating, make_cyclic,
+                     make_dicyclic, make_dihedral, make_quasidihedral,
+                     make_symmetric, parse_generators, semidirect_product)
 from .isomorphism import (UnsupportedOrderError, conjugacy_classes,
                           derived_subgroup, extend_generator_map,
                           generating_set, is_isomorphic,
@@ -41,11 +40,11 @@ __all__ = [
     "CensusReport", "CheckResult", "ClaimResult", "EXPECTED_GROUP_COUNTS",
     "ExclusionRule", "GroupConstructionError", "GroupExpressionError",
     "GroupRecipe", "GroupTable", "InvalidActionError", "MAX_CATALOG_ORDER",
-    "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "RULES", "Signature", "SurvivorReport",
+    "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "RULES", "SurvivorReport",
     "TheoremClaim", "UnsupportedOrderError", "VerificationReport", "Verdict",
     "action_from_generator_images", "apply_rules", "catalog_search",
     "catalog_tables", "catalog_validate", "census",
-    "conjugacy_classes", "count_solutions", "cycle_string",
+    "conjugacy_classes", "count_solutions",
     "derived_subgroup", "direct_product",
     "enumerate_candidates", "euler_phi", "explore",
     "extend_generator_map", "from_permutations", "generated_subgroup",

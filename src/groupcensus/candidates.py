@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
-from .census import Signature, euler_phi, phi_inverse
+from .census import euler_phi, phi_inverse
 
 MAX_DELTA = 16
 
@@ -61,23 +61,18 @@ class CandidateRow(NamedTuple):
         """Per part the pair (count, phi(order) - 1)."""
         return tuple((count, _weight(d)) for count, d in self.choices)
 
-    @property
-    def signature(self) -> Signature:
-        return Signature.from_iterable(
-            d for count, d in self.choices for _ in range(count))
-
 
 class Candidate(NamedTuple):
     """A possible signature; its partition row is derived on demand."""
 
-    signature: Signature
+    signature: tuple[int, ...]  # sorted, entries > 2
 
     @property
     def rows(self) -> tuple[CandidateRow, ...]:
         # the one partition row: a part n_d * (phi(d) - 1) per run of n_d
         # equal entries d, non-increasing, equal parts in ascending order d
         choices = sorted(((len(tuple(run)), d) for d, run
-                          in groupby(self.signature.entries)),
+                          in groupby(self.signature)),
                          key=lambda nd: (-nd[0] * _weight(nd[1]), nd[1]))
         return (CandidateRow(tuple(n * _weight(d) for n, d in choices),
                              tuple(choices)),)
@@ -130,5 +125,5 @@ def enumerate_candidates(delta: int) -> list[Candidate]:
 
     extend(0, delta, ())
     # tuple.__new__ skips the NamedTuple constructor's Python frame
-    of_sorted, new = Signature._of_sorted, tuple.__new__
-    return [new(Candidate, (of_sorted(entries),)) for entries in found]
+    new = tuple.__new__
+    return [new(Candidate, (entries,)) for entries in found]

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .census import CensusReport, Signature, census
+from .census import CensusReport, census
 from .groups import GroupTable, from_permutations
 from .isomorphism import isomorphism_classes
 from .report import CheckResult, VerificationReport
@@ -45,7 +45,10 @@ class CatalogEntry(NamedTuple):
 
     def build(self) -> GroupTable:
         """Close the generators and return the validated group table."""
-        table = from_permutations(self.generators, name=self.label)
+        try:
+            table = from_permutations(self.generators, name=self.label)
+        except ValueError as err:
+            raise CatalogError(f"catalog entry {self.label}: {err}") from None
         if table.order != self.order:
             raise CatalogError(
                 f"catalog entry {self.label}: generators close to order"
@@ -113,11 +116,12 @@ def catalog_tables() -> tuple[tuple[CatalogEntry, GroupTable, CensusReport], ...
 
 
 def catalog_search(max_order: int, delta: int | None = None,
-                   sigma: Signature | None = None,
+                   sigma: tuple[int, ...] | None = None,
                    ) -> list[tuple[CatalogEntry, CensusReport]]:
     """Catalog entries up to max_order matching the optional filters.
 
-    Raises ValueError for a max_order outside 1..24 or a negative delta.
+    ``sigma`` is a sorted signature tuple.  Raises ValueError for a
+    max_order outside 1..24 or a negative delta.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise ValueError(

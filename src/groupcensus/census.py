@@ -2,16 +2,17 @@
 
 For a finite group G, delta(G) is |G| minus the number of cyclic subgroups.
 The signature sigma(G) records the orders (> 2) of the cyclic subgroups as a
-sorted multiset; orders 1 and 2 are omitted because a cyclic group of order
-d has phi(d) generators and phi(d) = 1 exactly for d in {1, 2}, so those
-subgroups never contribute to delta.
+sorted multiset, held as an ascending tuple of ints; orders 1 and 2 are
+omitted because a cyclic group of order d has phi(d) generators and
+phi(d) = 1 exactly for d in {1, 2}, so those subgroups never contribute to
+delta.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .groups import GroupTable
 
@@ -68,75 +69,6 @@ def phi_inverse(m: int) -> list[int]:
     return sorted(solutions(m, 0))
 
 
-class Signature:
-    """Sorted multiset of cyclic-subgroup orders greater than 2.
-
-    Compared, hashed and ordered by its entries; treated as immutable.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]) -> None:
-        if entries and min(entries) <= 2:
-            raise ValueError(f"signature entries must exceed 2: {entries}")
-        if list(entries) != sorted(entries):
-            raise ValueError(f"signature entries must be sorted: {entries}")
-        self.entries = entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __lt__(self, other: "Signature") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries < other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Signature(entries={self.entries!r})"
-
-    @classmethod
-    def _of_sorted(cls, entries: tuple[int, ...]) -> "Signature":
-        """A signature of entries the caller has already proved sorted and
-        above 2, without the per-signature checks; ``enumerate_candidates``
-        checks its orders once per search instead."""
-        sig = object.__new__(cls)
-        sig.entries = entries
-        return sig
-
-    @classmethod
-    def of(cls, *entries: int) -> "Signature":
-        return cls(tuple(sorted(entries)))
-
-    @classmethod
-    def from_iterable(cls, entries: Iterable[int]) -> "Signature":
-        return cls(tuple(sorted(entries)))
-
-    def multiplicity(self, d: int) -> int:
-        return self.entries.count(d)
-
-    @property
-    def delta(self) -> int:
-        """The delta forced by the totient identity: sum of phi(d) - 1."""
-        return sum(euler_phi(d) - 1 for d in self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, d: int) -> bool:
-        return d in self.entries
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
-
-
 class CensusReport(NamedTuple):
     """Per-order cyclic subgroup counts and the derived invariants."""
 
@@ -144,7 +76,7 @@ class CensusReport(NamedTuple):
     n_d: tuple[tuple[int, int], ...]  # (order d, count) pairs, d ascending
     total_cyclic: int
     delta: int
-    signature: Signature
+    signature: tuple[int, ...]  # the entries d > 2, ascending
 
     def count(self, d: int) -> int:
         return dict(self.n_d).get(d, 0)
@@ -155,7 +87,7 @@ class CensusReport(NamedTuple):
             "n_d": {str(d): count for d, count in self.n_d},
             "cyclic_count": self.total_cyclic,
             "delta": self.delta,
-            "sigma": list(self.signature.entries),
+            "sigma": list(self.signature),
         }
 
 
@@ -169,8 +101,8 @@ def census(g: GroupTable) -> CensusReport:
     counts = Counter(g.element_orders())
     n_d = [(d, counts[d] // euler_phi(d)) for d in sorted(counts)]
     total = sum(count for _d, count in n_d)
-    sigma = Signature.from_iterable(
-        d for d, count in n_d for _ in range(count) if d > 2)
+    # n_d ascends in d, so the signature comes out sorted
+    sigma = tuple(d for d, count in n_d if d > 2 for _ in range(count))
     return CensusReport(g.order, tuple(n_d), total, g.order - total, sigma)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .candidates import Candidate, enumerate_candidates, integer_partitions
 from .catalog import MAX_CATALOG_ORDER, catalog_search, catalog_validate
-from .census import Signature, census
+from .census import census
 from .exclusion import apply_rules
 from .expressions import GroupExpressionError, parse_group
 from .verify import explore, known_groups_for, verify_all, verify_theorem
@@ -93,7 +93,7 @@ def _cmd_analyze(args, out) -> int:
     _emit(out, "n_d: " + " ".join(f"{d}:{c}" for d, c in report.n_d))
     _emit(out, f"cyclic subgroups: {report.total_cyclic}")
     _emit(out, f"delta: {report.delta}")
-    _emit(out, f"sigma: {_sig_str(report.signature.entries)}")
+    _emit(out, f"sigma: {_sig_str(report.signature)}")
     return 0
 
 
@@ -103,13 +103,13 @@ def _cmd_analyze(args, out) -> int:
 
 def _partition_rows(delta: int, cands: list[Candidate]) -> list[tuple[str, str]]:
     """(partition, its signatures) as text, for every partition of delta."""
-    by_partition: dict[tuple[int, ...], list[Signature]] = {
+    by_partition: dict[tuple[int, ...], list[tuple[int, ...]]] = {
         p: [] for p in integer_partitions(delta)}
     for cand in cands:
         for row in cand.rows:
             by_partition[row.partition].append(cand.signature)
     return [("+".join(str(part) for part in p),
-             ", ".join(_sig_str(s.entries) for s in sorted(sigs)) or "none")
+             ", ".join(_sig_str(s) for s in sorted(sigs)) or "none")
             for p, sigs in by_partition.items()]
 
 
@@ -145,7 +145,7 @@ def _cmd_candidates(args, out) -> int:
             "count": len(cands),
             "candidates": [
                 {
-                    "signature": list(c.signature.entries),
+                    "signature": list(c.signature),
                     "rows": [{"partition": list(r.partition),
                               "factorization": [list(f) for f in r.factorization]}
                              for r in c.rows],
@@ -176,14 +176,14 @@ def _cmd_exclude(args, out) -> int:
     if args.format == "json":
         payload = {
             "delta": args.delta,
-            "candidates": [list(c.signature.entries) for c in cands],
+            "candidates": [list(c.signature) for c in cands],
             "exclusions": [
-                {"signature": list(v.signature.entries),
+                {"signature": list(v.signature),
                  "rules": list(v.fired_rules),
                  "recorded_rule": v.recorded_rule}
                 for v in excluded
             ],
-            "survivors": [list(s.entries) for s in survivors],
+            "survivors": [list(s) for s in survivors],
             "counts": {"candidates": len(cands), "excluded": len(excluded),
                        "survivors": len(survivors)},
         }
@@ -194,7 +194,7 @@ def _cmd_exclude(args, out) -> int:
         body = []
         for v in excluded:
             rule = (v.recorded_rule or v.fired_rules[0]).replace("_", "\\_")
-            body.append(f"{_sig_str(v.signature.entries)} & {rule} \\\\")
+            body.append(f"{_sig_str(v.signature)} & {rule} \\\\")
         _emit_latex_table(
             out, f"Exclusion table for $\\Delta(G)={args.delta}$", "|c|l|",
             "$\\sigma(G)$ & Excluded by", body + ["\\hline"])
@@ -202,7 +202,7 @@ def _cmd_exclude(args, out) -> int:
         for sig in survivors:
             known = known_groups_for(sig)
             groups = ", ".join(r.label for r in known) if known else ""
-            body.append(f"{_sig_str(sig.entries)} & {groups} \\\\")
+            body.append(f"{_sig_str(sig)} & {groups} \\\\")
         _emit_latex_table(
             out, f"Revised table for $\\Delta(G)={args.delta}$", "|c|c|",
             "$\\sigma(G)$ & Groups", body + ["\\hline"])
@@ -211,7 +211,7 @@ def _cmd_exclude(args, out) -> int:
                f" {len(excluded)} excluded, {len(survivors)} survivors")
     _emit(out, "candidates:")
     for c in cands:
-        _emit(out, f"  {_sig_str(c.signature.entries)}")
+        _emit(out, f"  {_sig_str(c.signature)}")
     _emit(out, "excluded:")
     for v in excluded:
         tag = v.recorded_rule or v.fired_rules[0]
@@ -219,10 +219,10 @@ def _cmd_exclude(args, out) -> int:
         others = [r for r in v.fired_rules if r != tag]
         if others:
             extra = f"  (also: {', '.join(others)})"
-        _emit(out, f"  {_sig_str(v.signature.entries):<20} {tag}{extra}")
+        _emit(out, f"  {_sig_str(v.signature):<20} {tag}{extra}")
     _emit(out, "survivors:")
     for sig in survivors:
-        _emit(out, f"  {_sig_str(sig.entries)}")
+        _emit(out, f"  {_sig_str(sig)}")
     return 0
 
 
@@ -260,7 +260,9 @@ def _cmd_catalog(args, out) -> int:
     if args.sigma is not None:  # "" is the empty signature ()
         try:
             tokens = args.sigma.split(",") if args.sigma else ()
-            sigma = Signature.from_iterable(int(tok) for tok in tokens)
+            sigma = tuple(sorted(int(tok) for tok in tokens))
+            if sigma and sigma[0] <= 2:
+                raise ValueError(f"signature entries must exceed 2: {sigma}")
         except ValueError as err:
             print(f"error: bad --sigma: {err}", file=sys.stderr)
             return USAGE_ERROR
@@ -277,7 +279,7 @@ def _cmd_catalog(args, out) -> int:
     for entry, report in hits:
         _emit(out, f"{entry.order:>2} {entry.index:>2} {entry.label:<14}"
                    f" delta={report.delta:<3}"
-                   f" sigma={_sig_str(report.signature.entries)}")
+                   f" sigma={_sig_str(report.signature)}")
     _emit(out, f"{len(hits)} groups")
     return 0
 
@@ -299,7 +301,7 @@ def _cmd_explore(args, out) -> int:
             status = "classified: " + ", ".join(surv.known)
         else:
             status = "undecided"
-        _emit(out, f"  {_sig_str(surv.signature.entries):<20} {status}")
+        _emit(out, f"  {_sig_str(surv.signature):<20} {status}")
         for entry, rep in surv.witnesses:
             _emit(out, f"    witness {entry.label} (order {entry.order},"
                        f" delta {rep.delta})")

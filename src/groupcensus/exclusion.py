@@ -35,7 +35,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .candidates import enumerate_candidates
-from .census import Signature, euler_phi
+from .census import euler_phi
 
 
 class ExclusionRule(NamedTuple):
@@ -44,7 +44,7 @@ class ExclusionRule(NamedTuple):
 
 
 class Verdict(NamedTuple):
-    signature: Signature
+    signature: tuple[int, ...]
     excluded: bool
     fired_rules: tuple[str, ...]
     recorded_rule: str | None  # curated justification, delta <= 5 only
@@ -117,13 +117,13 @@ RULES = (
 )
 
 
-def apply_rules(sig: Signature) -> Verdict:
+def apply_rules(entries: tuple[int, ...]) -> Verdict:
     """Evaluate every rule on a signature and report all that fire.
 
-    The rules are checked in registry order over n = {d: n_d}, keys
-    ascending, and each that fires appends its id.
+    The signature is a sorted tuple of entries above 2.  The rules are
+    checked in registry order over n = {d: n_d}, keys ascending, and each
+    that fires appends its id.
     """
-    entries = sig.entries
     n: dict[int, int] = {}
     for d in entries:
         n[d] = n.get(d, 0) + 1
@@ -198,7 +198,7 @@ def apply_rules(sig: Signature) -> Verdict:
     # or an element of order 12
     if entries == (3, 4, 4, 6, 6):
         fired.append("pattern_34466")
-    return Verdict(sig, bool(fired), tuple(fired),
+    return Verdict(entries, bool(fired), tuple(fired),
                    RECORDED_JUSTIFICATIONS.get(entries))
 
 
@@ -230,7 +230,7 @@ def _settled_prefix(entries: tuple[int, ...]) -> int:
     return 0
 
 
-def revised_table(delta: int) -> list[Signature]:
+def revised_table(delta: int) -> list[tuple[int, ...]]:
     """Signatures for this delta that survive every exclusion rule, sorted.
 
     A run of candidates below a prefix that ``_settled_prefix`` finds is
@@ -238,16 +238,14 @@ def revised_table(delta: int) -> list[Signature]:
     """
     survivors = []
     cut, length = (), 0  # the last settled prefix and its length
-    for candidate in enumerate_candidates(delta):
-        sig = candidate.signature
-        entries = sig.entries
+    for (entries,) in enumerate_candidates(delta):
         if length and entries[:length] == cut:
             continue
         length = _settled_prefix(entries)
         if length:
             cut = entries[:length]
-        elif not apply_rules(sig).excluded:
-            survivors.append(sig)
+        elif not apply_rules(entries).excluded:
+            survivors.append(entries)
     return survivors
 
 

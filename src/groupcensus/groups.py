@@ -53,23 +53,6 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def cycle_string(images: Sequence[int]) -> str:
-    """Cycle notation of a permutation, as ``parse_generators`` reads it;
-    fixed points are left out and the identity is ``()``."""
-    cycles = []
-    seen: set[int] = set()
-    for start, p in enumerate(images):
-        if p == start or start in seen:
-            continue
-        cycle = [start]
-        while p != start:
-            cycle.append(p)
-            p = images[p]
-        seen.update(cycle)
-        cycles.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(cycles) or "()"
-
-
 def _moving_cycles(cycles: list[list[int]]) -> list[list[int]]:
     """The cycles of length > 1, after checking that no cycle repeats a
     point and no point lies in a cycle after one that moves it."""

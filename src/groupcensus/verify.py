@@ -16,8 +16,7 @@ from typing import Callable, NamedTuple
 
 from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
                       catalog_validate)
-from .census import (CensusReport, Signature, census, count_solutions,
-                     euler_phi)
+from .census import CensusReport, census, count_solutions, euler_phi
 from .exclusion import revised_table
 from .groups import (GroupTable, InvalidActionError,
                      action_from_generator_images, direct_product,
@@ -33,7 +32,7 @@ class GroupRecipe(NamedTuple):
 
     label: str
     build: Callable[[], GroupTable]
-    expected_sigma: Signature
+    expected_sigma: tuple[int, ...]  # sorted, entries > 2
 
 
 class TheoremClaim(NamedTuple):
@@ -74,7 +73,12 @@ def _c3c3_by_inversion() -> GroupTable:
 
 def _recipe(label: str, build: Callable[[], GroupTable],
             *sigma: int) -> GroupRecipe:
-    return GroupRecipe(label, build, Signature.of(*sigma))
+    return GroupRecipe(label, build, sigma)
+
+
+def _sigma_text(sigma: tuple[int, ...]) -> str:
+    # "(3)" rather than str(tuple)'s "(3,)", for the check details
+    return "(" + ", ".join(map(str, sigma)) + ")"
 
 
 def theorem_claims() -> list[TheoremClaim]:
@@ -138,7 +142,7 @@ def theorem_claims() -> list[TheoremClaim]:
     ]
 
 
-def known_groups_for(sig: Signature) -> list[GroupRecipe] | None:
+def known_groups_for(entries: tuple[int, ...]) -> list[GroupRecipe] | None:
     """Every isomorphism type proven to realize a signature, or None.
 
     Covers the classified signatures of the delta <= 5 tables and the two
@@ -146,7 +150,6 @@ def known_groups_for(sig: Signature) -> list[GroupRecipe] | None:
     sigma = (a, 2a) gives C_2a and D_4a, for a = 4 or an odd prime.
     None means the signature carries no completeness proof here.
     """
-    entries = sig.entries
     if len(entries) in (1, 2) and entries[-1] == len(entries) * entries[0]:
         # entries exceed 2, so phi(a) = a - 1 means a is an odd prime
         a, m = entries[0], entries[-1]
@@ -165,7 +168,7 @@ def _claims_by_sigma() -> dict[tuple[int, ...], tuple[GroupRecipe, ...]]:
     by_sigma: dict[tuple[int, ...], list[GroupRecipe]] = {}
     for claim in theorem_claims():
         for recipe in claim.groups:
-            by_sigma.setdefault(recipe.expected_sigma.entries, []).append(recipe)
+            by_sigma.setdefault(recipe.expected_sigma, []).append(recipe)
     return {sigma: tuple(recipes) for sigma, recipes in by_sigma.items()}
 
 
@@ -194,11 +197,12 @@ def verify_theorem(delta: int) -> VerificationReport:
         ok = (result.delta == delta
               and result.signature == recipe.expected_sigma)
         detail = "" if ok else (
-            f"expected delta {delta} sigma {recipe.expected_sigma},"
-            f" got delta {result.delta} sigma {result.signature}")
+            f"expected delta {delta}"
+            f" sigma {_sigma_text(recipe.expected_sigma)},"
+            f" got delta {result.delta} sigma {_sigma_text(result.signature)}")
         report.claims.append(ClaimResult(
             delta, recipe.label, table.order, result.delta,
-            result.signature.entries, ok, detail))
+            result.signature, ok, detail))
         built.append((recipe, table))
 
     claimed_sigmas = {recipe.expected_sigma for recipe in claim.groups}
@@ -206,8 +210,8 @@ def verify_theorem(delta: int) -> VerificationReport:
     report.sweep.append(CheckResult(
         f"delta{delta}_signatures_match_revised_table",
         claimed_sigmas == revised,
-        f"claimed {sorted(str(s) for s in claimed_sigmas)}"
-        f" vs revised {sorted(str(s) for s in revised)}"))
+        f"claimed {sorted(map(_sigma_text, claimed_sigmas))}"
+        f" vs revised {sorted(map(_sigma_text, revised))}"))
 
     # one classification serves claim distinctness and the catalog sweep
     hits = [(entry, table) for entry, table, rep in catalog_tables()
@@ -407,13 +411,13 @@ def property_suite() -> VerificationReport:
 class SurvivorReport(NamedTuple):
     """One surviving signature with catalog witnesses and any known list."""
 
-    signature: Signature
+    signature: tuple[int, ...]
     witnesses: tuple[tuple[CatalogEntry, CensusReport], ...]
     known: tuple[str, ...] | None  # labels of a proven-complete list
 
     def to_json_dict(self) -> dict:
         return {
-            "signature": list(self.signature.entries),
+            "signature": list(self.signature),
             "witnesses": [{"label": e.label, "order": e.order,
                            "delta": r.delta}
                           for e, r in self.witnesses],
@@ -428,7 +432,7 @@ def explore(delta: int) -> list[SurvivorReport]:
     without a known list are undecided rather than realizable.
     """
     survivors = revised_table(delta)
-    witnesses_by_sigma: dict[Signature, list] = {}
+    witnesses_by_sigma: dict[tuple[int, ...], list] = {}
     for entry, _table, rep in catalog_tables():
         witnesses_by_sigma.setdefault(rep.signature, []).append((entry, rep))
     out = []

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groupcensus.candidates
-from groupcensus import (Candidate, CandidateRow, Signature,
-                         enumerate_candidates, euler_phi, integer_partitions,
-                         phi_inverse)
+from groupcensus import (Candidate, CandidateRow, enumerate_candidates,
+                         euler_phi, integer_partitions, phi_inverse)
+from test_census import is_signature, signature_delta
 
 # enumerate_candidates and explore for delta = 6..16, captured from the
 # trial-division phi_inverse before its replacement
@@ -124,6 +124,11 @@ def expand_part(p):
     return options
 
 
+def row_signature(row):
+    """The sorted signature a partition row spells out, count by count."""
+    return tuple(sorted(d for count, d in row.choices for _ in range(count)))
+
+
 def enumerate_by_partitions(delta):
     """(signature, rows) pairs sorted by signature, every partition of delta
     expanded part by part with pairwise distinct orders."""
@@ -134,7 +139,7 @@ def enumerate_by_partitions(delta):
         def assign(i, chosen, used):
             if i == len(partition):
                 row = CandidateRow(partition, tuple(chosen))
-                by_signature.setdefault(row.signature, []).append(row)
+                by_signature.setdefault(row_signature(row), []).append(row)
                 return
             for count, d in options[i]:
                 if d in used:
@@ -188,14 +193,14 @@ def test_candidate_counts_pinned_up_to_16():
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5])
 def test_candidate_tables_exact(delta):
-    got = {c.signature.entries for c in enumerate_candidates(delta)}
+    got = {c.signature for c in enumerate_candidates(delta)}
     assert got == TABLES[delta]
 
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_candidates_satisfy_totient_identity(delta):
     for cand in enumerate_candidates(delta):
-        assert cand.signature.delta == delta
+        assert signature_delta(cand.signature) == delta
         for row in cand.rows:
             assert sum(n * m for n, m in row.factorization) == delta
 
@@ -214,8 +219,7 @@ def test_enumeration_is_deterministic():
     first = enumerate_candidates(6)
     second = enumerate_candidates(6)
     assert first == second
-    assert [c.signature.entries for c in first] == \
-        sorted(c.signature.entries for c in first)
+    assert [c.signature for c in first] == sorted(c.signature for c in first)
 
 
 def test_candidates_are_sound_for_catalog(catalog):
@@ -231,7 +235,7 @@ def test_one_row_per_signature():
     for delta in range(1, 7):
         for cand in enumerate_candidates(delta):
             (row,) = cand.rows
-            assert row.signature == cand.signature
+            assert row_signature(row) == cand.signature
 
 
 @pytest.mark.parametrize("delta", range(1, 17))
@@ -247,20 +251,19 @@ def test_direct_enumeration_matches_partition_oracle(delta):
 
 @pytest.mark.parametrize("delta", range(1, 17))
 def test_candidates_equal_checked_signatures(delta):
-    # the search builds its signatures without the per-signature checks;
-    # each must equal the one the checked constructor builds
-    for cand in enumerate_candidates(delta):
+    # the search checks its orders once, not each signature; every
+    # candidate must still be a plain sorted tuple above 2, each once
+    cands = enumerate_candidates(delta)
+    for cand in cands:
         assert type(cand) is Candidate
-        sig = cand.signature
-        assert type(sig) is Signature and type(sig.entries) is tuple
-        checked = Signature(sig.entries)
-        assert sig == checked and hash(sig) == hash(checked)
+        assert is_signature(cand.signature), cand
+    assert len({c.signature for c in cands}) == len(cands)
 
 
 @pytest.mark.parametrize("extra", [[2], [1], [4]])
 def test_orders_checked_once_per_search(monkeypatch, extra):
-    # an order of at most 2, or one listed twice, would emit entries the
-    # checked constructor refuses or the same signature twice
+    # an order of at most 2, or one listed twice, would emit an entry of
+    # at most 2 or the same signature twice
     def phi_inverse_with_extra(m):
         return phi_inverse(m) + extra if m == 2 else phi_inverse(m)
 

@@ -11,9 +11,8 @@ import pytest
 from test_isomorphism import relabelled
 
 import groupcensus.catalog
-from groupcensus import (EXPECTED_GROUP_COUNTS, CatalogError, Signature,
-                         catalog_search, catalog_validate, census,
-                         load_catalog)
+from groupcensus import (EXPECTED_GROUP_COUNTS, CatalogError, catalog_search,
+                         catalog_validate, census, load_catalog)
 
 
 def test_load_shape():
@@ -74,15 +73,30 @@ def test_malformed_generators_name_the_line(gens, message):
         groupcensus.catalog._parse_line(f"3 0 C3 gens={gens}", 7)
 
 
-def test_unequal_degrees_fail_catalog_load(monkeypatch):
-    entry = groupcensus.catalog._parse_line("3 0 C3 gens=1 2 0;1 0", 7)
-    assert entry.generators == ((1, 2, 0), (1, 0))
+def load_report_of(monkeypatch, entry):
+    """catalog_validate's checks for a catalog holding only this entry."""
     monkeypatch.setattr(groupcensus.catalog, "load_catalog", lambda: (entry,))
     monkeypatch.setattr(groupcensus.catalog, "catalog_tables",
                         groupcensus.catalog._built_catalog.__wrapped__)
-    report = catalog_validate()
-    assert [(c.name, c.passed, c.detail) for c in report.sweep] == [
-        ("catalog_load", False, "all generators must share a degree")]
+    return [(c.name, c.passed, c.detail) for c in catalog_validate().sweep]
+
+
+def test_unequal_degrees_fail_catalog_load(monkeypatch):
+    entry = groupcensus.catalog._parse_line("3 0 C3 gens=1 2 0;1 0", 7)
+    assert entry.generators == ((1, 2, 0), (1, 0))
+    assert load_report_of(monkeypatch, entry) == [
+        ("catalog_load", False,
+         "catalog entry C3: all generators must share a degree")]
+
+
+def test_non_bijection_fails_catalog_load(monkeypatch):
+    entry = groupcensus.catalog._parse_line("3 0 C3 gens=1 1 0", 7)
+    assert entry.generators == ((1, 1, 0),)
+    with pytest.raises(CatalogError, match="^catalog entry C3: images"):
+        entry.build()
+    assert load_report_of(monkeypatch, entry) == [
+        ("catalog_load", False,
+         "catalog entry C3: images (1, 1, 0) are not a bijection of 0..2")]
 
 
 def test_expected_counts_table():
@@ -136,7 +150,7 @@ def test_search_delta_two():
 
 
 def test_search_sigma_4444():
-    hits = catalog_search(16, sigma=Signature.of(4, 4, 4, 4))
+    hits = catalog_search(16, sigma=(4, 4, 4, 4))
     assert {e.label for e, _ in hits} == {"C4xC2xC2", "(C2xC2):C4", "Q8:C2"}
 
 

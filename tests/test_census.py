@@ -15,14 +15,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcensus import (CensusReport, Signature, census, count_solutions,
+from groupcensus import (CensusReport, census, count_solutions,
                          direct_product, euler_phi, make_cyclic, make_dicyclic,
                          make_dihedral, make_quasidihedral, make_symmetric,
-                         phi_inverse)
+                         phi_inverse, theorem_claims)
 
 
 def phi_oracle(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def signature_delta(sig):
+    """The delta a signature forces by the totient identity."""
+    return sum(euler_phi(d) - 1 for d in sig)
 
 
 def cyclic_subgroups(g):
@@ -136,14 +141,14 @@ def test_cyclic_subgroups_contain_trivial_and_are_closed():
 
 def test_census_known_reports():
     c3 = census(make_cyclic(3))
-    assert c3.delta == 1 and c3.signature == Signature.of(3)
+    assert c3.delta == 1 and c3.signature == (3,)
     for n in range(1, 6):
         g = make_cyclic(2)
         for _ in range(n - 1):
             g = direct_product(g, make_cyclic(2))
         assert census(g).delta == 0
     s4 = census(make_symmetric(4))
-    assert s4.signature == Signature.of(3, 3, 3, 3, 4, 4, 4)
+    assert s4.signature == (3, 3, 3, 3, 4, 4, 4)
     assert s4.delta == 7 and s4.total_cyclic == 17
 
 
@@ -164,7 +169,7 @@ def test_census_identities_on_catalog(catalog):
         assert sum(c * (euler_phi(d) - 1) for d, c in report.n_d) == report.delta
         assert report.delta == entry.order - report.total_cyclic
         sigma = [d for d, c in report.n_d for _ in range(c) if d > 2]
-        assert tuple(sigma) == report.signature.entries
+        assert tuple(sigma) == report.signature
 
 
 def test_census_doubling_small_catalog(catalog):
@@ -204,22 +209,30 @@ def test_census_json_keys():
 # signatures
 
 
-def test_signature_validation():
-    with pytest.raises(ValueError):
-        Signature((2, 3))
-    with pytest.raises(ValueError):
-        Signature((4, 3))
-    sig = Signature.of(6, 3, 4)
-    assert sig.entries == (3, 4, 6)
-    assert sig.multiplicity(3) == 1 and sig.multiplicity(5) == 0
-    assert sig.delta == 3
-    assert str(sig) == "(3, 4, 6)"
-    assert list(sig) == [3, 4, 6] and 4 in sig and len(sig) == 3
+def is_signature(sig):
+    """A plain tuple of ints above 2, sorted."""
+    return (type(sig) is tuple and list(sig) == sorted(sig)
+            and all(type(d) is int and d > 2 for d in sig))
+
+
+def test_signature_validation(catalog):
+    # a signature is a plain tuple, sorted, entries above 2, wherever the
+    # program makes one: census and the claim recipes here, the candidate
+    # search in test_candidates_equal_checked_signatures
+    assert not is_signature((2, 3)) and not is_signature((4, 3))
+    assert not is_signature([3, 4])
+    assert is_signature((3, 4, 6)) and is_signature(())
+    assert signature_delta((3, 4, 6)) == 3
+    for _entry, _table, report in catalog:
+        assert is_signature(report.signature), report
+    for claim in theorem_claims():
+        for recipe in claim.groups:
+            assert is_signature(recipe.expected_sigma), recipe.label
 
 
 def test_signature_delta_matches_census(catalog):
     for _entry, _table, report in catalog:
-        assert report.signature.delta == report.delta
+        assert signature_delta(report.signature) == report.delta
 
 
 # ---------------------------------------------------------------------------

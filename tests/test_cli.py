@@ -150,6 +150,26 @@ def test_catalog_empty_sigma_is_the_empty_signature():
     assert text.endswith("\n5 groups\n")
 
 
+def test_catalog_sigma_entries_must_exceed_2(capsys):
+    code, text = run_cli("catalog", "--sigma", "2")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bad --sigma: signature entries must exceed 2: (2,)\n")
+    # the entries are sorted before the check, so it names them in order
+    code, text = run_cli("catalog", "--sigma", "3,2")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bad --sigma: signature entries must exceed 2: (2, 3)\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_catalog_sigma_order_does_not_matter(fmt):
+    code, text = run_cli("catalog", "--sigma", "3,6", "--format", fmt)
+    assert code == 0
+    assert run_cli("catalog", "--sigma", "6,3", "--format", fmt) == (0, text)
+    assert "C6" in text and "D12" in text
+
+
 def test_catalog_bounds_error():
     code, _ = run_cli("catalog", "--max-order", "25")
     assert code == 2

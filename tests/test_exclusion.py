@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcensus import (RECORDED_JUSTIFICATIONS, RULES, Candidate,
-                         Signature, apply_rules, enumerate_candidates,
-                         revised_table)
+                         apply_rules, enumerate_candidates, revised_table)
 from groupcensus import exclusion
 from groupcensus.census import euler_phi
+from test_census import signature_delta
 
 RULE_IDS = [
     "missing_divisor", "sylow_count", "coprime_product", "unique_3_with_4",
@@ -34,7 +34,7 @@ EXCLUSION_COUNTS = {1: 1, 2: 4, 3: 12, 4: 23, 5: 47}
 
 def recorded_by_delta(delta):
     return {entries: rule for entries, rule in RECORDED_JUSTIFICATIONS.items()
-            if Signature(entries).delta == delta}
+            if signature_delta(entries) == delta}
 
 
 def test_registry_ids_and_order():
@@ -45,22 +45,22 @@ def test_registry_ids_and_order():
 
 
 def test_spot_verdicts():
-    v = apply_rules(Signature.of(6))
+    v = apply_rules((6,))
     assert v.excluded and "missing_divisor" in v.fired_rules
-    v = apply_rules(Signature.of(3, 3))
+    v = apply_rules((3, 3))
     assert "sylow_count" in v.fired_rules
-    v = apply_rules(Signature.of(3, 4))
+    v = apply_rules((3, 4))
     assert "coprime_product" in v.fired_rules
-    assert not apply_rules(Signature.of(7)).excluded
-    assert not apply_rules(Signature.of(4, 4, 4, 4)).excluded
-    assert not apply_rules(Signature.of(3, 4, 4, 4, 6)).excluded
+    assert not apply_rules((7,)).excluded
+    assert not apply_rules((4, 4, 4, 4)).excluded
+    assert not apply_rules((3, 4, 4, 4, 6)).excluded
 
 
 def test_verdict_shape():
-    v = apply_rules(Signature.of(3, 4, 4, 6, 6))
+    v = apply_rules((3, 4, 4, 6, 6))
     assert v.excluded == bool(v.fired_rules)
     assert v.recorded_rule == "pattern_34466"
-    survivor = apply_rules(Signature.of(4, 4))
+    survivor = apply_rules((4, 4))
     assert survivor.fired_rules == () and not survivor.excluded
     assert survivor.recorded_rule is None
 
@@ -68,10 +68,10 @@ def test_verdict_shape():
 def test_general_rules_subsume_bespoke_patterns():
     # the two-4s rule also covers (3,4,4,6,6); the unique-4 rule also
     # covers (3,4); both verdicts must still carry the recorded rule
-    v = apply_rules(Signature.of(3, 4, 4, 6, 6))
+    v = apply_rules((3, 4, 4, 6, 6))
     assert "two_4s_with_3" in v.fired_rules
     assert "pattern_34466" in v.fired_rules
-    v = apply_rules(Signature.of(3, 4))
+    v = apply_rules((3, 4))
     assert "unique_4_with_3" in v.fired_rules
     assert "coprime_product" in v.fired_rules
 
@@ -84,7 +84,7 @@ def test_exclusion_tables_exact(delta):
     for cand in enumerate_candidates(delta):
         verdict = apply_rules(cand.signature)
         if verdict.excluded:
-            excluded[cand.signature.entries] = verdict
+            excluded[cand.signature] = verdict
     assert set(excluded) == set(recorded)
     for entries, verdict in excluded.items():
         assert recorded[entries] in verdict.fired_rules, entries
@@ -93,7 +93,7 @@ def test_exclusion_tables_exact(delta):
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5])
 def test_revised_tables_exact(delta):
-    assert {s.entries for s in revised_table(delta)} == REVISED[delta]
+    assert set(revised_table(delta)) == REVISED[delta]
 
 
 def test_revised_table_sorted_and_deterministic():
@@ -183,7 +183,7 @@ def settled_prefix_oracle(entries):
 @pytest.mark.parametrize("delta", range(1, 17))
 def test_settled_prefix_matches_oracle_on_candidates(delta):
     for cand in enumerate_candidates(delta):
-        entries = cand.signature.entries
+        entries = cand.signature
         assert exclusion._settled_prefix(entries) == \
             settled_prefix_oracle(entries), entries
 
@@ -205,7 +205,7 @@ def test_no_rule_fires_on_real_groups(catalog):
 
 # ---------------------------------------------------------------------------
 # oracle: the rules as they were written before the single-pass evaluation,
-# one Signature method call per question; apply_rules must agree exactly
+# one tuple method call per question; apply_rules must agree exactly
 
 
 @cache
@@ -218,72 +218,71 @@ def _odd_prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(p for p in _divisors_over_2(m) if euler_phi(p) == p - 1)
 
 
-def _missing_divisor(sig: Signature) -> bool:
+def _missing_divisor(sig: tuple[int, ...]) -> bool:
     # a cyclic subgroup of order m contains one of order k for every k | m
-    present = set(sig.entries)
+    present = set(sig)
     return any(k not in present
                for m in present for k in _divisors_over_2(m))
 
 
-def _sylow_count(sig: Signature) -> bool:
+def _sylow_count(sig: tuple[int, ...]) -> bool:
     # an odd prime p dividing an entry divides |G|, and then the number of
     # subgroups of order p is 1 mod p (Frobenius' refinement of Sylow)
-    primes = {p for m in set(sig.entries) for p in _odd_prime_divisors(m)}
-    return any(sig.multiplicity(p) % p != 1 for p in primes)
+    primes = {p for m in set(sig) for p in _odd_prime_divisors(m)}
+    return any(sig.count(p) % p != 1 for p in primes)
 
 
-def _coprime_product(sig: Signature) -> bool:
+def _coprime_product(sig: tuple[int, ...]) -> bool:
     # unique cyclic subgroups of coprime orders a, b are normal and commute
     # elementwise, so an element of order ab exists
-    unique = [d for d in sorted(set(sig.entries)) if sig.multiplicity(d) == 1]
-    present = set(sig.entries)
+    unique = [d for d in sorted(set(sig)) if sig.count(d) == 1]
+    present = set(sig)
     return any(math.gcd(a, b) == 1 and a * b not in present
                for i, a in enumerate(unique) for b in unique[i + 1:])
 
 
-def _unique_3_with_4(sig: Signature) -> bool:
+def _unique_3_with_4(sig: tuple[int, ...]) -> bool:
     # a unique (hence normal) C3 is centralized by the square of any
     # order-4 element, producing an element of order 6
-    return (sig.multiplicity(3) == 1 and sig.multiplicity(4) >= 1
+    return (sig.count(3) == 1 and sig.count(4) >= 1
             and 6 not in sig)
 
 
-def _two_4s_with_3(sig: Signature) -> bool:
+def _two_4s_with_3(sig: tuple[int, ...]) -> bool:
     # with exactly two C4's, any order-3 element acts trivially on the pair
     # and its square centralizes either, giving an element of order 12
-    return (sig.multiplicity(4) == 2 and 3 in sig and 12 not in sig)
+    return (sig.count(4) == 2 and 3 in sig and 12 not in sig)
 
 
-def _unique_3_two_6s(sig: Signature) -> bool:
+def _unique_3_two_6s(sig: tuple[int, ...]) -> bool:
     # two C6's over a unique C3 share their squares, and the product of
     # their generators spans a third C6
-    return sig.multiplicity(3) == 1 and sig.multiplicity(6) == 2
+    return sig.count(3) == 1 and sig.count(6) == 2
 
 
-def _unique_4_with_3(sig: Signature) -> bool:
+def _unique_4_with_3(sig: tuple[int, ...]) -> bool:
     # a unique (hence normal) C4 admits no nontrivial C3-action, so a
     # subgroup C4 x C3 = C12 exists
-    return sig.multiplicity(4) == 1 and 3 in sig and 12 not in sig
+    return sig.count(4) == 1 and 3 in sig and 12 not in sig
 
 
-def _odd_4s(sig: Signature) -> bool:
+def _odd_4s(sig: tuple[int, ...]) -> bool:
     # a 2-group with an odd count of C4's is cyclic, dihedral, generalized
     # quaternion or quasidihedral; only C4, D8 (one C4) and Q8 (three) have
     # no cyclic subgroup of any other order > 2
-    entries = sig.entries
-    return (bool(entries) and all(e == 4 for e in entries)
-            and len(entries) % 2 == 1 and len(entries) not in (1, 3))
+    return (bool(sig) and all(e == 4 for e in sig)
+            and len(sig) % 2 == 1 and len(sig) not in (1, 3))
 
 
-def _unique_6_repeated_3(sig: Signature) -> bool:
+def _unique_6_repeated_3(sig: tuple[int, ...]) -> bool:
     # a unique (hence normal) C6 next to a disjoint C3 forces C6 x C3,
     # which already contains four C6's
-    return sig.multiplicity(6) == 1 and sig.multiplicity(3) >= 2
+    return sig.count(6) == 1 and sig.count(3) >= 2
 
 
-def _exact(*entries: int) -> Callable[[Signature], bool]:
+def _exact(*entries: int) -> Callable[[tuple[int, ...]], bool]:
     pattern = tuple(sorted(entries))
-    return lambda sig: sig.entries == pattern
+    return lambda sig: sig == pattern
 
 
 ORACLE_RULES = (
@@ -303,7 +302,7 @@ ORACLE_RULES = (
 )
 
 
-def oracle_fired(sig: Signature) -> tuple[str, ...]:
+def oracle_fired(sig: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(rule_id for rule_id, predicate in ORACLE_RULES
                  if predicate(sig))
 
@@ -322,5 +321,5 @@ def test_fired_rules_match_oracle_on_candidates(delta):
 
 @given(st.lists(st.integers(3, 60), max_size=12).map(sorted))
 def test_fired_rules_match_oracle_on_random_signatures(entries):
-    sig = Signature(tuple(entries))
+    sig = tuple(entries)
     assert apply_rules(sig).fired_rules == oracle_fired(sig)

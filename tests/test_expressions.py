@@ -109,4 +109,4 @@ def test_roundtrip_on_claimed_groups():
     }
     for expr, (delta, sigma) in expected.items():
         report = census(parse_group(expr))
-        assert (report.delta, report.signature.entries) == (delta, sigma), expr
+        assert (report.delta, report.signature) == (delta, sigma), expr

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from test_census import cyclic_subgroups
 
 from groupcensus import (MAX_ORDER, GroupConstructionError, GroupTable,
-                         InvalidActionError, census, cycle_string,
-                         direct_product, from_permutations, generated_subgroup,
+                         InvalidActionError, census, direct_product,
+                         from_permutations, generated_subgroup,
                          inversion_action, is_isomorphic, make_alternating,
                          make_cyclic, make_dicyclic, make_dihedral,
                          make_quasidihedral, make_symmetric,
@@ -294,7 +294,7 @@ def test_symmetric_and_alternating():
     a4 = make_alternating(4)
     assert a4.order == 12
     assert census(a4).count(3) == 4
-    assert census(make_symmetric(4)).signature.entries == (3, 3, 3, 3, 4, 4, 4)
+    assert census(make_symmetric(4)).signature == (3, 3, 3, 3, 4, 4, 4)
     with pytest.raises(ValueError):
         make_symmetric(5)
     with pytest.raises(ValueError):
@@ -562,6 +562,23 @@ def test_permutation_parsing():
         parse_generators("(0 1)(1 2)")
     with pytest.raises(ValueError):
         parse_generators("(0 0)")
+
+
+def cycle_string(images):
+    """Cycle notation of a permutation, as ``parse_generators`` reads it;
+    fixed points are left out and the identity is ``()``."""
+    cycles = []
+    seen = set()
+    for start, p in enumerate(images):
+        if p == start or start in seen:
+            continue
+        cycle = [start]
+        while p != start:
+            cycle.append(p)
+            p = images[p]
+        seen.update(cycle)
+        cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "()"
 
 
 @given(st.permutations(range(7)))

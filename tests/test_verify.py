@@ -3,7 +3,8 @@
 import pytest
 from test_candidates import PINNED
 
-from groupcensus import (Signature, census, explore, is_isomorphic,
+import groupcensus.verify
+from groupcensus import (census, explore, is_isomorphic,
                          known_groups_for, property_suite, theorem_claims,
                          verify_all, verify_theorem)
 from groupcensus.groups import generated_subgroup, make_dihedral
@@ -17,7 +18,7 @@ def test_claim_lists():
     assert sum(len(c.groups) for c in claims) == 25
     assert {r.label for r in claims[2].groups} == {"Q8", "C5", "D10"}
     c3c4 = next(r for r in claims[4].groups if r.label == "C3:C4")
-    assert c3c4.expected_sigma == Signature.of(3, 4, 4, 4, 6)
+    assert c3c4.expected_sigma == (3, 4, 4, 4, 6)
 
 
 def test_claims_census_and_construction():
@@ -45,6 +46,27 @@ def test_verify_theorem_passes(delta):
     report = verify_theorem(delta)
     assert report.passed, report.failures()
     assert len(report.claims) == [4, 4, 3, 11, 3][delta - 1]
+
+
+def test_signature_check_details():
+    (check,) = [c for c in verify_theorem(1).sweep
+                if c.name == "delta1_signatures_match_revised_table"]
+    assert check.detail == "claimed ['(3)', '(4)'] vs revised ['(3)', '(4)']"
+
+
+def test_failed_claim_detail_names_both_signatures(monkeypatch):
+    claims = theorem_claims()
+    c3, *rest = claims[0].groups
+    assert (c3.label, c3.expected_sigma) == ("C3", (3,))
+    wrong = claims[0]._replace(groups=(c3._replace(expected_sigma=(4,)),
+                                       *rest))
+    monkeypatch.setattr(groupcensus.verify, "theorem_claims",
+                        lambda: [wrong, *claims[1:]])
+    report = verify_theorem(1)
+    assert not report.passed
+    (claim,) = [c for c in report.claims if not c.passed]
+    assert claim.label == "C3"
+    assert claim.detail == "expected delta 1 sigma (4), got delta 1 sigma (3)"
 
 
 def test_verify_theorem_rejects_bad_delta():
@@ -84,19 +106,19 @@ def test_sigma_generator_subgroup_of_d12():
 
 def test_known_groups_families():
     labels = lambda sig: [r.label for r in known_groups_for(sig)]
-    assert labels(Signature.of(4, 8)) == ["C8", "D16"]
-    assert labels(Signature.of(5)) == ["C5", "D10"]
-    assert labels(Signature.of(3, 6)) == ["C6", "D12"]
-    assert labels(Signature.of(11, 22)) == ["C22", "D44"]
-    assert labels(Signature.of(4, 4, 4)) == ["Q8"]
-    assert len(known_groups_for(Signature.of(4, 4, 4, 4))) == 4
-    assert len(known_groups_for(Signature.of(3, 3, 3, 3))) == 3
-    assert known_groups_for(Signature.of(3, 9)) is None
-    assert known_groups_for(Signature.of(6)) is None
+    assert labels((4, 8)) == ["C8", "D16"]
+    assert labels((5,)) == ["C5", "D10"]
+    assert labels((3, 6)) == ["C6", "D12"]
+    assert labels((11, 22)) == ["C22", "D44"]
+    assert labels((4, 4, 4)) == ["Q8"]
+    assert len(known_groups_for((4, 4, 4, 4))) == 4
+    assert len(known_groups_for((3, 3, 3, 3))) == 3
+    assert known_groups_for((3, 9)) is None
+    assert known_groups_for((6,)) is None
 
 
 def test_known_groups_for_returns_a_fresh_list():
-    sig = Signature.of(4, 4, 4, 4)
+    sig = (4, 4, 4, 4)
     first = known_groups_for(sig)
     first.clear()
     assert [r.label for r in known_groups_for(sig)] == [
@@ -104,7 +126,7 @@ def test_known_groups_for_returns_a_fresh_list():
 
 
 def test_known_groups_realize_their_signature():
-    for sig in (Signature.of(11, 22), Signature.of(4, 4), Signature.of(7)):
+    for sig in ((11, 22), (4, 4), (7,)):
         for recipe in known_groups_for(sig):
             report = census(recipe.build())
             assert report.signature == sig, recipe.label
@@ -116,7 +138,7 @@ def test_known_groups_realize_their_signature():
 
 def test_explore_delta_6(catalog):
     survivors = explore(6)
-    by_sig = {s.signature.entries: s for s in survivors}
+    by_sig = {s.signature: s for s in survivors}
     assert (4, 4, 4, 4, 4, 4) in by_sig
     assert (5, 10) in by_sig
     q8c2 = by_sig[(4, 4, 4, 4, 4, 4)]
@@ -129,12 +151,12 @@ def test_explore_delta_6(catalog):
     # every catalog group with delta 6 carries a surviving signature
     for entry, _table, report in catalog:
         if report.delta == 6:
-            assert report.signature.entries in by_sig, entry.label
+            assert report.signature in by_sig, entry.label
 
 
 @pytest.mark.parametrize("delta", range(6, 17))
 def test_explore_survivors_pinned(delta):
-    got = [[list(s.signature.entries),
+    got = [[list(s.signature),
             list(s.known) if s.known is not None else None,
             [entry.label for entry, _report in s.witnesses]]
            for s in explore(delta)]
@@ -143,7 +165,7 @@ def test_explore_survivors_pinned(delta):
 
 def test_explore_classified_range():
     survivors = explore(3)
-    by_sig = {s.signature.entries: s for s in survivors}
+    by_sig = {s.signature: s for s in survivors}
     assert set(by_sig) == {(4, 4, 4), (5,)}
     assert by_sig[(4, 4, 4)].known == ("Q8",)
     assert by_sig[(5,)].known == ("C5", "D10")
