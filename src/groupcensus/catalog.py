@@ -1,10 +1,11 @@
 """Bundled catalog of every isomorphism type of group of order at most 24.
 
-Entries are stored as generator image lists in a plain-text data file and
-validated at load: each entry must close to its stated order, entries of
-equal order must be pairwise non-isomorphic, and the per-order counts must
-match the known enumeration of small groups.  Together those checks make
-the catalog provably complete through order 24.
+Entries are stored as Cayley tables, one hex token per row, in a
+plain-text data file and validated at load: each table must be a group of
+its stated order, entries of equal order must be pairwise non-isomorphic,
+and the per-order counts must match the known enumeration of small
+groups.  Together those checks make the catalog provably complete through
+order 24.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .census import CensusReport, census
-from .groups import GroupTable, from_permutations
+from .groups import GroupTable
 from .isomorphism import isomorphism_classes
 from .report import CheckResult, VerificationReport
 
@@ -36,46 +37,46 @@ class CatalogError(ValueError):
 
 
 class CatalogEntry(NamedTuple):
-    """One catalog group: its order, stable index, label and generators."""
+    """One catalog group: its order, stable index, label and table rows."""
 
     order: int
     index: int
     label: str
-    generators: tuple[tuple[int, ...], ...]  # image tuples
+    rows: tuple[bytes, ...]  # row a holds a*b at position b
 
     def build(self) -> GroupTable:
-        """Close the generators and return the validated group table."""
+        """The entry's group table, checked against the group axioms."""
+        if len(self.rows) != self.order:
+            raise CatalogError(
+                f"catalog entry {self.label}: {len(self.rows)} rows,"
+                f" stated order {self.order}")
         try:
-            table = from_permutations(self.generators, name=self.label)
+            return GroupTable(self.rows, name=self.label)
         except ValueError as err:
             raise CatalogError(f"catalog entry {self.label}: {err}") from None
-        if table.order != self.order:
-            raise CatalogError(
-                f"catalog entry {self.label}: generators close to order"
-                f" {table.order}, stated {self.order}")
-        return table
 
 
 def _parse_line(line: str, lineno: int) -> CatalogEntry:
     parts = line.split(maxsplit=3)
-    if len(parts) != 4 or not parts[3].startswith("gens="):
+    if len(parts) != 4 or not parts[3].startswith("rows="):
         raise CatalogError(f"line {lineno}: expected"
-                           f" 'order index label gens=...', got {line!r}")
+                           f" 'order index label rows=...', got {line!r}")
     try:
         order = int(parts[0])
         index = int(parts[1])
     except ValueError as err:
         raise CatalogError(f"line {lineno}: bad order/index: {err}") from None
-    # each generator is an image list; from_permutations checks that the
-    # lists share a degree and are bijections
-    try:
-        gens = tuple(tuple(map(int, chunk.split()))
-                     for chunk in parts[3][len("gens="):].split(";"))
-    except ValueError as err:
-        raise CatalogError(f"line {lineno}: bad image: {err}") from None
-    if not all(gens):
-        raise CatalogError(f"line {lineno}: empty generator in {parts[3]!r}")
-    return CatalogEntry(order, index, parts[2], gens)
+    # each row is a hex token, two digits per element; CatalogEntry.build
+    # checks the row count, GroupTable the row lengths and the axioms
+    rows = []
+    for token in parts[3][len("rows="):].split():
+        try:
+            rows.append(bytes.fromhex(token))
+        except ValueError:
+            raise CatalogError(
+                f"line {lineno}: row {len(rows)} is not hex: {token!r}"
+                ) from None
+    return CatalogEntry(order, index, parts[2], tuple(rows))
 
 
 @lru_cache(maxsize=1)
@@ -143,7 +144,8 @@ def catalog_search(max_order: int, delta: int | None = None,
 
 
 def catalog_validate() -> VerificationReport:
-    """Check closure orders, per-order counts and pairwise non-isomorphism.
+    """Check that each table is a group of its stated order, the per-order
+    counts and pairwise non-isomorphism.
 
     With the counts pinned to the known enumeration of groups of order
     <= 24, pairwise non-isomorphism within each order proves the catalog

@@ -1,10 +1,13 @@
 """Isomorphism testing for small group tables.
 
-Cheap invariants (order, element-order histogram, centre and
-derived-subgroup sizes, conjugacy class sizes, square-root histogram)
-settle every pair of distinct catalog groups; the pairs they cannot
-separate fall to a backtracking search that maps a generating set of one
-group into the other, pruned by per-element invariants.
+Invariants settle every pair of distinct catalog groups; the pairs they
+cannot separate fall to a backtracking search that maps a generating set
+of one group into the other, pruned by per-element invariants.  They come
+in two tiers: a cheap key (order, element-order histogram, square-root
+histogram) and the full profile, which adds the sizes of the centre, the
+derived subgroup and the conjugacy classes.  ``isomorphism_classes``
+computes a full profile only for a table whose cheap key another table
+shares.
 
 The invariants are read off byte vectors, so their scans run in C:
 column y of the table is ``b"".join(rows)[y::n]``, the squares x*x are
@@ -125,6 +128,17 @@ def extend_generator_map(src: GroupTable, dst: GroupTable,
     return [mapping[x] for x in range(src.order)]
 
 
+def _cheap_key(g: GroupTable) -> tuple:
+    """The order, element-order histogram and square-root histogram of g.
+
+    These need no conjugacy classes, and census has already cached the
+    element orders; ``_profile`` holds the same three invariants.
+    """
+    hist = tuple(sorted(Counter(g.element_orders()).items()))
+    roots = Counter(b"".join(g.product)[::g.order + 1])
+    return g.order, hist, tuple(sorted(Counter(roots.values()).items()))
+
+
 def _profile(g: GroupTable) -> tuple:
     """Isomorphism invariants of g, computed once and cached on the table.
 
@@ -138,13 +152,11 @@ def _profile(g: GroupTable) -> tuple:
     (C2xC2):C4 ((4,2),(8,1)) from Q8:C2 ((8,2),).
     """
     if g._profile is None:
-        hist = tuple(sorted(Counter(g.element_orders()).items()))
+        order, hist, roots = _cheap_key(g)
         class_sizes = tuple(sorted(len(c) for c in conjugacy_classes(g)))
-        roots = Counter(b"".join(g.product)[::g.order + 1])
         # the centre is the union of the classes of size 1 (all, if abelian)
-        g._profile = (g.order, hist, class_sizes.count(1),
-                      len(derived_subgroup(g)), class_sizes,
-                      tuple(sorted(Counter(roots.values()).items())))
+        g._profile = (order, hist, class_sizes.count(1),
+                      len(derived_subgroup(g)), class_sizes, roots)
     return g._profile
 
 
@@ -204,21 +216,25 @@ def isomorphism_classes(tables: Sequence[GroupTable]) -> list[int]:
     """The isomorphism class of every table, numbered by first appearance.
 
     ``keys[i] == keys[j]`` exactly when tables i and j are isomorphic.
-    Tables are bucketed by their cached invariants; only inside a bucket
-    is a table searched against each class representative, once.  Orders
-    beyond the supported bound raise UnsupportedOrderError, as in
-    ``is_isomorphic``.
+    Tables are bucketed by ``_cheap_key``; a table alone in its bucket is
+    a class of its own.  The others are bucketed again by their full
+    cached ``_profile``, and only inside such a bucket is a table searched
+    against each class representative, once.  Orders beyond the supported
+    bound raise UnsupportedOrderError, as in ``is_isomorphic``.
     """
     for table in tables:
         if table.order > ISOMORPHISM_ORDER_BOUND:
             raise UnsupportedOrderError(
                 f"isomorphism testing supports orders up to"
                 f" {ISOMORPHISM_ORDER_BOUND}, got {table.order}")
+    cheap = [_cheap_key(table) for table in tables]
+    shared = {key for key, count in Counter(cheap).items() if count > 1}
     buckets: dict[tuple, list[int]] = {}  # profile -> class representatives
     keys: list[int] = []
     classes = 0
     for i, table in enumerate(tables):
-        reps = buckets.setdefault(_profile(table), [])
+        reps = (buckets.setdefault(_profile(table), [])
+                if cheap[i] in shared else [])
         key = next((keys[r] for r in reps if is_isomorphic(tables[r], table)),
                    None)
         if key is None:

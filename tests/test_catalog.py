@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import os
 import pathlib
+import re
+import shutil
 import subprocess
 import sys
 
@@ -11,8 +13,9 @@ import pytest
 from test_isomorphism import relabelled
 
 import groupcensus.catalog
-from groupcensus import (EXPECTED_GROUP_COUNTS, CatalogError, catalog_search,
-                         catalog_validate, census, load_catalog)
+from groupcensus import (EXPECTED_GROUP_COUNTS, CatalogError, GroupTable,
+                         catalog_search, catalog_validate, census,
+                         load_catalog)
 
 
 def test_load_shape():
@@ -53,8 +56,8 @@ def test_generator_reproduces_bundled_file():
 
 
 def test_built_tables_pinned(catalog):
-    # the 74 tables closed from the image lists, byte for byte as they were
-    # closed from the cycle strings the catalog file held before
+    # the 74 stored tables, byte for byte as they were closed from the
+    # generator image lists and cycle strings the catalog file held before
     digest = hashlib.sha256()
     for _entry, table, _report in catalog:
         digest.update(b"".join(table.product))
@@ -62,15 +65,33 @@ def test_built_tables_pinned(catalog):
         "99cce82516509e90f712be3dbce7cced90028ecf86125e43db860ea2a40e9edb")
 
 
-@pytest.mark.parametrize("gens,message", [
-    ("1 2 x", "line 7: bad image"),
-    ("1 2 0;", "line 7: empty generator"),
-    ("", "line 7: empty generator"),
-    ("1 2 0;;2 0 1", "line 7: empty generator"),
-])
-def test_malformed_generators_name_the_line(gens, message):
-    with pytest.raises(CatalogError, match=message):
-        groupcensus.catalog._parse_line(f"3 0 C3 gens={gens}", 7)
+def test_generator_runs_from_a_plain_checkout(tmp_path):
+    # the documented command, with no installed package and no PYTHONPATH:
+    # the tool must import the src/ beside it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for part in ("src", "tools"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    data = tmp_path / "src" / "groupcensus" / "data" / (
+        groupcensus.catalog.DATA_FILE)
+    before = data.read_bytes()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    child = subprocess.run([sys.executable, "tools/make_catalog.py"],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert data.read_bytes() == before
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 0 C3 rows=000102 01zz00 020001", "line 7: row 1 is not hex: '01zz00'"),
+    ("3 0 C3 rows=000102 01020 020001", "line 7: row 1 is not hex: '01020'"),
+    ("3 0 C3 gens=1 2 0", "line 7: expected 'order index label rows=...',"
+     " got '3 0 C3 gens=1 2 0'"),
+], ids=["non-hex", "odd-length", "old-format"])
+def test_malformed_rows_name_the_line(text, message):
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        groupcensus.catalog._parse_line(text, 7)
 
 
 def load_report_of(monkeypatch, entry):
@@ -81,22 +102,40 @@ def load_report_of(monkeypatch, entry):
     return [(c.name, c.passed, c.detail) for c in catalog_validate().sweep]
 
 
-def test_unequal_degrees_fail_catalog_load(monkeypatch):
-    entry = groupcensus.catalog._parse_line("3 0 C3 gens=1 2 0;1 0", 7)
-    assert entry.generators == ((1, 2, 0), (1, 0))
-    assert load_report_of(monkeypatch, entry) == [
-        ("catalog_load", False,
-         "catalog entry C3: all generators must share a degree")]
+# the 5-element loop of test_validation_rejects_broken_tables: a Latin
+# square with identity 0 that is not associative
+LOOP_ROWS = "0001020304 0100030402 0203040001 0304010200 0402000103"
 
 
-def test_non_bijection_fails_catalog_load(monkeypatch):
-    entry = groupcensus.catalog._parse_line("3 0 C3 gens=1 1 0", 7)
-    assert entry.generators == ((1, 1, 0),)
-    with pytest.raises(CatalogError, match="^catalog entry C3: images"):
+@pytest.mark.parametrize("text,message", [
+    ("3 0 C3 rows=", "catalog entry C3: 0 rows, stated order 3"),
+    ("3 0 C3 rows=000102 010200", "catalog entry C3: 2 rows, stated order 3"),
+    ("3 0 C3 rows=000102 0102 020001",
+     "catalog entry C3: row 1 has length 2, expected 3"),
+    ("3 0 C3 rows=000102 010100 020001",
+     "catalog entry C3: row 1 is not a permutation of 0..2"),
+    (f"5 0 L5 rows={LOOP_ROWS}",
+     "catalog entry L5: associativity fails at (1, 1)"),
+], ids=["no-rows", "row-count", "short-row", "not-a-permutation", "loop"])
+def test_bad_tables_fail_catalog_load(monkeypatch, text, message):
+    entry = groupcensus.catalog._parse_line(text, 7)
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
         entry.build()
     assert load_report_of(monkeypatch, entry) == [
-        ("catalog_load", False,
-         "catalog entry C3: images (1, 1, 0) are not a bijection of 0..2")]
+        ("catalog_load", False, message)]
+
+
+def test_validate_profiles_only_cheap_key_collisions(catalog, monkeypatch):
+    # fresh tables carry no cached profile or classes; only the two pairs
+    # of order-16 groups that share order, element-order and square-root
+    # histograms need the full profile
+    fresh = [(entry, GroupTable(table.product, name=table.name), report)
+             for entry, table, report in catalog]
+    monkeypatch.setattr(groupcensus.catalog, "catalog_tables", lambda: fresh)
+    assert catalog_validate().passed
+    assert [table.name for _entry, table, _report in fresh
+            if table._profile is not None] == [
+        "C8xC2", "C4xC2xC2", "M16", "Q8:C2"]
 
 
 def test_expected_counts_table():

@@ -3,9 +3,11 @@
 
 Builds one representative of every isomorphism type of group of order at
 most 24 from the library's constructors, finds a small generating set for
-each, and writes each generator g as its image list: row g of the Cayley
-table, the permutation of the group's own elements by left multiplication.
-Output is deterministic; run from the repo root:
+each, closes the generators' rows (each the permutation of the group's own
+elements by left multiplication) with ``from_permutations``, and writes the
+Cayley table of the result, one hex token of two digits per element for
+each row.  It imports the package from the ``src/`` beside it, not from an
+installed copy.  Output is deterministic; run from the repo root:
 
     python tools/make_catalog.py
 """
@@ -15,16 +17,19 @@ from __future__ import annotations
 import pathlib
 import sys
 
-from groupcensus import (GroupTable, action_from_generator_images,
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from groupcensus import (GroupTable, action_from_generator_images,  # noqa: E402
                          direct_product,
-                         extend_generator_map, generating_set,
+                         extend_generator_map, from_permutations,
+                         generating_set,
                          inversion_action, make_alternating, make_cyclic,
                          make_dicyclic, make_dihedral, make_quasidihedral,
                          make_symmetric, semidirect_product)
-from groupcensus.verify import _klein_by_c4, _q8_by_c2
+from groupcensus.verify import _klein_by_c4, _q8_by_c2  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / (
-    "src/groupcensus/data/groups_le24.txt")
+OUT = ROOT / "src/groupcensus/data/groups_le24.txt"
 
 
 def cyclic_power_action(normal: GroupTable, acting: GroupTable,
@@ -187,10 +192,11 @@ GROUPS: list[tuple[int, str, object]] = [
 def render() -> str:
     """The text of the catalog data file."""
     lines = ["# Every isomorphism type of group of order <= 24.",
-             "# Format: order index label gens=images;images...",
-             "# A generator g is row g of the group's Cayley table: the"
-             " images",
-             "# of the elements 0..n-1 under left multiplication by g;",
+             "# Format: order index label rows=row row ...",
+             "# Row a of the Cayley table is one hex token, two digits per"
+             " element:",
+             "# its b-th byte is the index of a*b, and element 0 is the"
+             " identity;",
              "# regenerate with tools/make_catalog.py."]
     index: dict[int, int] = {}
     for order, label, build in GROUPS:
@@ -198,11 +204,11 @@ def render() -> str:
         if table.order != order:
             raise SystemExit(f"{label}: built order {table.order}, wanted {order}")
         gens = generating_set(table) or [0]
-        gens_text = ";".join(" ".join(map(str, table.product[g]))
-                             for g in gens)
+        closed = from_permutations([table.product[g] for g in gens])
         idx = index.get(order, 0)
         index[order] = idx + 1
-        lines.append(f"{order} {idx} {label} gens={gens_text}")
+        lines.append(f"{order} {idx} {label} rows="
+                     + " ".join(row.hex() for row in closed.product))
     return "\n".join(lines) + "\n"
 
 
