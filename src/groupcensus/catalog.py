@@ -6,16 +6,24 @@ its stated order, entries of equal order must be pairwise non-isomorphic,
 and the per-order counts must match the known enumeration of small
 groups.  Together those checks make the catalog provably complete through
 order 24.
+
+Tables are built and censused order by order, each order once per process,
+and only for the orders a caller asks for: ``catalog_tables()`` builds
+every order, ``explore`` the orders in its survivors' order windows, and
+``catalog_search`` the orders up to its bound, or with a signature only
+those of its window.  Every table that is built passes the group-axiom
+check before its census is read.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .census import CensusReport, census
+from .exclusion import admissible_orders
 from .groups import GroupTable
 from .isomorphism import isomorphism_classes
 from .report import CheckResult, VerificationReport
@@ -102,18 +110,31 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-@lru_cache(maxsize=1)
-def _built_catalog() -> tuple[tuple[CatalogEntry, GroupTable, CensusReport], ...]:
-    out = []
+BuiltEntry = tuple[CatalogEntry, GroupTable, CensusReport]
+
+
+@cache
+def _built_order(order: int) -> tuple[BuiltEntry, ...]:
+    """The entries of one order, each built and censused, in index order."""
+    built = []
     for entry in load_catalog():
-        table = entry.build()
-        out.append((entry, table, census(table)))
-    return tuple(out)
+        if entry.order == order:
+            table = entry.build()
+            built.append((entry, table, census(table)))
+    return tuple(built)
 
 
-def catalog_tables() -> tuple[tuple[CatalogEntry, GroupTable, CensusReport], ...]:
-    """Every catalog entry with its built table and census, cached."""
-    return _built_catalog()
+def catalog_tables(orders: Iterable[int] | None = None,
+                   ) -> tuple[BuiltEntry, ...]:
+    """Catalog entries with their built tables and censuses, by (order, index).
+
+    Only the entries of ``orders`` are built, every order of the data file
+    by default; each order is built once per process and cached.
+    """
+    if orders is None:
+        orders = {entry.order for entry in load_catalog()}
+    return tuple(built for order in sorted(orders)
+                 for built in _built_order(order))
 
 
 def catalog_search(max_order: int, delta: int | None = None,
@@ -121,8 +142,10 @@ def catalog_search(max_order: int, delta: int | None = None,
                    ) -> list[tuple[CatalogEntry, CensusReport]]:
     """Catalog entries up to max_order matching the optional filters.
 
-    ``sigma`` is a sorted signature tuple.  Raises ValueError for a
-    max_order outside 1..24 or a negative delta.
+    ``sigma`` is a sorted signature tuple.  Only the orders up to
+    max_order are built, and with ``sigma`` only those of its order window,
+    which holds the order of every group with that signature.  Raises
+    ValueError for a max_order outside 1..24 or a negative delta.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise ValueError(
@@ -131,10 +154,12 @@ def catalog_search(max_order: int, delta: int | None = None,
         raise ValueError(f"max order must be at least 1, got {max_order}")
     if delta is not None and delta < 0:
         raise ValueError(f"delta must be at least 0, got {delta}")
+    if sigma is None:
+        orders = range(1, max_order + 1)
+    else:
+        orders = admissible_orders(sigma, max_order)
     hits = []
-    for entry, _table, report in catalog_tables():
-        if entry.order > max_order:
-            continue
+    for entry, _table, report in catalog_tables(orders):
         if delta is not None and report.delta != delta:
             continue
         if sigma is not None and report.signature != sigma:

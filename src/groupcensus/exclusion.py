@@ -26,6 +26,12 @@ Two rules are settled on a prefix that ends where a new order d opens:
 branch.  Each signature skipped is thus excluded by a rule, and each one
 left still goes through ``apply_rules``, so the survivors are those of
 judging every candidate, in the same order.
+
+``admissible_orders`` is the order window of a signature: the orders a
+group with that signature can have, by Lagrange, Cauchy, the parity of
+the involution count, Frobenius (1895) and the bound n <= 4N.  It does not
+exclude signatures; ``explore`` uses it to build only the catalog orders
+that can hold a witness.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ def _divisors_over_2(m: int) -> frozenset[int]:
 def _odd_prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(sorted(p for p in _divisors_over_2(m)
                         if euler_phi(p) == p - 1))
+
+
+_phi = cache(euler_phi)
 
 
 RULES = (
@@ -228,6 +237,67 @@ def _settled_prefix(entries: tuple[int, ...]) -> int:
         seen.add(d)
         p, run = d, 1
     return 0
+
+
+def admissible_orders(entries: tuple[int, ...], max_order: int) -> list[int]:
+    """The orders n <= max_order that a group with this signature can have.
+
+    Let N be the sum of phi(d) over the entries: each element of order
+    d > 2 generates one cyclic subgroup, of which it is one of the phi(d)
+    generators, so N counts the elements of order above 2 and n - N - 1
+    those of order 2.  An order n is admissible only if:
+
+    - Lagrange: lcm(entries) divides n, each entry being an element order.
+    - Cauchy: every odd prime p dividing n is an entry, since G then has an
+      element of order p, whose cyclic subgroup has order p > 2.
+    - parity: an odd n has no element of order 2, so n = N + 1; an even n
+      has one by Cauchy, so n >= N + 2.
+    - Frobenius (1895): for every m dividing n, the number of solutions of
+      x^m = 1 is divisible by m.  The solutions are the elements whose
+      order divides m: the identity, the n - N - 1 elements of order 2 if
+      m is even, and phi(d) generators for each entry d dividing m.
+    - n <= 4N, for a nonempty signature.  Let I = {x : x^2 = 1} and
+      suppose n > 4N, so |I| = n - N > 3n/4.  For x in I, |I & xI| > n/2,
+      and every z with z and xz in I commutes with x, as
+      xz = (xz)^-1 = zx.  So the centralizer of x has more than n/2
+      elements, hence is G, and I lies in the centre.  I generates G, as
+      |I| > n/2, so G is abelian, I is a subgroup of index below 4/3 and
+      G = I: an elementary abelian 2-group, whose signature is empty.
+      The bound is tight: D8 x C2^k has order 2^(k+3) and N = 2^(k+1).
+
+    For n >= N + 1, Frobenius alone implies the first three.  At m = n
+    the count is between 1 and n, hence n, which needs every entry to
+    divide n and an odd n to be N + 1.  At m = 2 an even n has an odd
+    number of elements of order 2.  At an odd prime m = p the count is
+    1 + (p - 1) n_p, so n_p = 1 mod p and p is an entry.
+    They are checked first because they are cheaper, and only multiples of
+    lcm(entries) from N + 1 up are visited.  The empty signature has no
+    bound 4N; the other conditions leave the powers of 2 up to max_order,
+    the orders of the elementary abelian 2-groups.  The orders come sorted.
+    """
+    big = sum(map(_phi, entries))  # N
+    top = min(4 * big, max_order) if entries else max_order
+    if big >= top:
+        return []  # every order is at least N + 1
+    step = math.lcm(*entries)
+    orders = []
+    for order in range(-(-(big + 1) // step) * step, top + 1, step):
+        involutions = order - big - 1
+        if bool(involutions) != (order % 2 == 0):
+            continue  # parity
+        if any(p not in entries for p in _odd_prime_divisors(order)):
+            continue  # Cauchy
+        for m in range(2, order + 1):
+            if order % m:
+                continue
+            solutions = 1 + sum(_phi(d) for d in entries if m % d == 0)
+            if m % 2 == 0:
+                solutions += involutions
+            if solutions % m:
+                break  # Frobenius
+        else:
+            orders.append(order)
+    return orders
 
 
 def revised_table(delta: int) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
                       catalog_validate)
 from .census import CensusReport, census, count_solutions, euler_phi
-from .exclusion import revised_table
+from .exclusion import admissible_orders, revised_table
 from .groups import (GroupTable, InvalidActionError,
                      action_from_generator_images, direct_product,
                      generated_subgroup, inversion_action, make_alternating,
@@ -429,11 +429,17 @@ def explore(delta: int) -> list[SurvivorReport]:
     """Surviving signatures for a delta, with catalog witnesses.
 
     Beyond delta = 5 the rule set is sound but not complete, so survivors
-    without a known list are undecided rather than realizable.
+    without a known list are undecided rather than realizable.  A catalog
+    group witnesses a survivor only if its order lies in the survivor's
+    order window, so only the catalog orders in some survivor's window are
+    built and censused.
     """
     survivors = revised_table(delta)
+    orders: set[int] = set()
+    for sig in survivors:
+        orders.update(admissible_orders(sig, MAX_CATALOG_ORDER))
     witnesses_by_sigma: dict[tuple[int, ...], list] = {}
-    for entry, _table, rep in catalog_tables():
+    for entry, _table, rep in catalog_tables(orders):
         witnesses_by_sigma.setdefault(rep.signature, []).append((entry, rep))
     out = []
     for sig in survivors:

@@ -97,8 +97,8 @@ def test_malformed_rows_name_the_line(text, message):
 def load_report_of(monkeypatch, entry):
     """catalog_validate's checks for a catalog holding only this entry."""
     monkeypatch.setattr(groupcensus.catalog, "load_catalog", lambda: (entry,))
-    monkeypatch.setattr(groupcensus.catalog, "catalog_tables",
-                        groupcensus.catalog._built_catalog.__wrapped__)
+    monkeypatch.setattr(groupcensus.catalog, "_built_order",
+                        groupcensus.catalog._built_order.__wrapped__)
     return [(c.name, c.passed, c.detail) for c in catalog_validate().sweep]
 
 
@@ -207,3 +207,30 @@ def test_search_reports_are_censuses(catalog):
     for entry, report in catalog_search(24):
         rebuilt = census(entry.build())
         assert rebuilt == report
+
+
+def orders_built_by(monkeypatch, *args, **kwargs):
+    """The catalog orders that one catalog_search call asks to build."""
+    built = []
+    real = groupcensus.catalog._built_order
+
+    def recording(order):
+        built.append(order)
+        return real(order)
+
+    monkeypatch.setattr(groupcensus.catalog, "_built_order", recording)
+    catalog_search(*args, **kwargs)
+    monkeypatch.undo()
+    return built
+
+
+def test_search_builds_only_the_orders_it_filters(monkeypatch):
+    assert orders_built_by(monkeypatch, 6) == [1, 2, 3, 4, 5, 6]
+    assert orders_built_by(monkeypatch, 24, delta=2) == list(range(1, 25))
+    # with a signature, only the orders of its window
+    assert orders_built_by(monkeypatch, 24, sigma=(4, 4, 4, 4)) == [16]
+    assert orders_built_by(monkeypatch, 24, sigma=(3, 3, 3, 3)) == [
+        9, 12, 18, 24]
+    assert orders_built_by(monkeypatch, 12, sigma=(3, 3, 3, 3)) == [9, 12]
+    assert orders_built_by(monkeypatch, 24, sigma=()) == [1, 2, 4, 8, 16]
+    assert orders_built_by(monkeypatch, 24, sigma=(5, 5)) == []

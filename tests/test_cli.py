@@ -248,6 +248,52 @@ def test_output_matches_pinned_digests(command, fmt):
         assert digest == PINNED_DIGESTS[" ".join(argv)], argv
 
 
+# sha256 of the catalog forms of the tests above and of the bare command,
+# in both formats, captured when every catalog order was built per call
+CATALOG_DIGESTS = {
+    (("--max-order", "24", "--delta", "2"), "table"):
+        "c55d7898e9439eb56e824cc235ad5ec5a264709d0118646d3b609072d329caad",
+    (("--max-order", "24", "--delta", "2"), "json"):
+        "147f4cc4f9d775ee8f230f141f4a8c98a90f722010120b8dafb00981c4cc3f8e",
+    (("--max-order", "16", "--sigma", "4,4,4,4"), "table"):
+        "89da5110b2a5d917b87af7c4c47cde2f6808e36292e4b4a4655ca107a2eadd91",
+    (("--max-order", "16", "--sigma", "4,4,4,4"), "json"):
+        "c420f05b1a01204451ee5e4aabf6e6ac3e6e0a76022202a03a05042dbe1202c2",
+    (("--sigma", ""), "table"):
+        "94ade16584858b26fb8cde89903684488913490a284758c30c6582ba547bbbb9",
+    (("--sigma", ""), "json"):
+        "cd12d33ac999d132b763e0cd8d180130894965faf5f5fe9def1ced6bf3dda287",
+    (("--sigma", "3,6"), "table"):
+        "07ea69774fabfe77cb29b8fa4bbeac0566303af79532870a16277c23817736e1",
+    (("--sigma", "3,6"), "json"):
+        "aa4ccd6033d44fc74b5e783ec12f08686312eb38f6c8665722abb9a89c890595",
+    (("--sigma", "6,3"), "table"):
+        "07ea69774fabfe77cb29b8fa4bbeac0566303af79532870a16277c23817736e1",
+    (("--sigma", "6,3"), "json"):
+        "aa4ccd6033d44fc74b5e783ec12f08686312eb38f6c8665722abb9a89c890595",
+    (("--max-order", "1", "--delta", "0"), "table"):
+        "3ed250e38124258c271f5be8e8ef1fc3806958318ec2c9d1bd0844d778617894",
+    (("--max-order", "1", "--delta", "0"), "json"):
+        "404e563cad4e487816320282cc1f7ac9e66ac770e3b186bab14142d4fff93c5c",
+    (("--max-order", "16"), "table"):
+        "693c869abc48ed379240a9ff566be061c793730058bdf3385da5234b7b195979",
+    (("--max-order", "16"), "json"):
+        "2fe59168b33c10389da21bf02a530b0a506501ed028cae4c088cdcb1f54c177c",
+    ((), "table"):
+        "7d61c40048410fe9e202c907d26cbd836eadf9ddb87269b84bd082dbb2505265",
+    ((), "json"):
+        "32cebd3870f1db55719d590c8471cea4f2dc131c6579762715900f2ca185f339",
+}
+
+
+@pytest.mark.parametrize("args,fmt", list(CATALOG_DIGESTS))
+def test_catalog_forms_keep_their_bytes(args, fmt):
+    code, text = run_cli("catalog", *args, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CATALOG_DIGESTS[args, fmt]
+
+
 def test_json_writer_matches_the_standard_encoder():
     payload = {"ints": [0, -7, 10 ** 30], "empty": [], "none": {},
                "flags": [True, False, None],

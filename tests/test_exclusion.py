@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcensus import (RECORDED_JUSTIFICATIONS, RULES, Candidate,
-                         apply_rules, enumerate_candidates, revised_table)
+                         apply_rules, census, enumerate_candidates,
+                         parse_group, revised_table, theorem_claims)
 from groupcensus import exclusion
+from groupcensus.exclusion import admissible_orders
 from groupcensus.census import euler_phi
 from test_census import signature_delta
 
@@ -323,3 +325,131 @@ def test_fired_rules_match_oracle_on_candidates(delta):
 def test_fired_rules_match_oracle_on_random_signatures(entries):
     sig = tuple(entries)
     assert apply_rules(sig).fired_rules == oracle_fired(sig)
+
+
+# ---------------------------------------------------------------------------
+# order windows: admissible_orders against its five conditions, checked
+# literally for every n in 1..4N, and against the orders of real groups
+
+NO_BOUND = 10 ** 9  # admissible_orders' own bound 4N is then the binding one
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % k for k in range(2, p))
+
+
+def window_oracle(sig: tuple[int, ...]) -> list[int]:
+    """Every n in 1..4N (the fifth condition) meeting the other four, each
+    as stated."""
+    big = sum(euler_phi(d) for d in sig)
+    window = []
+    for n in range(1, 4 * big + 1):
+        involutions = n - big - 1
+        if (all(n % d == 0 for d in sig)  # Lagrange
+                and all(p in sig for p in range(3, n + 1)
+                        if n % p == 0 and _is_prime(p))  # Cauchy
+                and (involutions == 0 if n % 2 else involutions >= 1)  # parity
+                and all((1 + (involutions if m % 2 == 0 else 0)
+                         + sum(euler_phi(d) for d in sig if m % d == 0))
+                        % m == 0
+                        for m in range(1, n + 1) if n % m == 0)):  # Frobenius
+            window.append(n)
+    return window
+
+
+@pytest.mark.parametrize("delta", range(1, 13))
+def test_windows_match_oracle_on_candidates(delta):
+    for cand in enumerate_candidates(delta):
+        assert admissible_orders(cand.signature, NO_BOUND) == \
+            window_oracle(cand.signature), cand.signature
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_windows_match_oracle_on_survivors(delta):
+    for sig in revised_table(delta):
+        assert admissible_orders(sig, NO_BOUND) == window_oracle(sig), sig
+
+
+@given(st.lists(st.integers(3, 30), min_size=1, max_size=5).map(sorted),
+       st.integers(1, 150))
+def test_windows_match_oracle_on_random_signatures(entries, max_order):
+    sig = tuple(entries)
+    assert admissible_orders(sig, max_order) == [
+        n for n in window_oracle(sig) if n <= max_order]
+
+
+def test_empty_signature_window_is_the_powers_of_2():
+    assert admissible_orders((), 64) == [1, 2, 4, 8, 16, 32, 64]
+    assert admissible_orders((), 24) == [1, 2, 4, 8, 16]
+
+
+# the windows of the delta <= 5 survivors, from the five conditions
+PINNED_WINDOWS = {
+    (3,): [3, 6], (4,): [4, 8],
+    (3, 6): [6, 12], (4, 4): [8, 16],
+    (4, 4, 4): [8, 16], (5,): [5, 10],
+    (3, 3, 3, 3): [9, 12, 18, 24], (3, 6, 6, 6): [12, 24],
+    (4, 4, 4, 4): [16, 32], (4, 8): [8, 16],
+    (3, 4, 4, 4, 6): [12], (7,): [7, 14],
+}
+
+
+def test_pinned_windows_delta_1_to_5():
+    assert set(PINNED_WINDOWS) == set().union(*REVISED.values())
+    for sig, window in PINNED_WINDOWS.items():
+        assert admissible_orders(sig, NO_BOUND) == window, sig
+
+
+def test_windows_are_cut_at_max_order():
+    assert admissible_orders((4, 4, 4, 4), 24) == [16]
+    assert admissible_orders((3, 3, 3, 3), 12) == [9, 12]
+    assert admissible_orders((3, 3, 3, 3), 8) == []
+
+
+# survivors of delta 6..16 whose window is empty: no group has them
+EMPTY_WINDOWS = dict(zip(range(6, 17),
+                         [3, 7, 8, 18, 23, 35, 54, 76, 100, 139, 182]))
+
+
+def test_pinned_empty_window_counts():
+    counts = {delta: sum(not admissible_orders(sig, NO_BOUND)
+                         for sig in revised_table(delta))
+              for delta in range(6, 17)}
+    assert counts == EMPTY_WINDOWS
+    assert sum(counts.values()) == 645
+    assert sum(len(revised_table(delta)) for delta in range(1, 17)) == 766
+
+
+# tables of order 25..64 beyond the catalog, all with delta >= 1
+LARGE_GROUPS = [
+    "C25", "C5 x C5", "D26", "C27", "C9 x C3", "C3 x C3 x C3", "D28", "Q28",
+    "C30", "D30", "C32", "D32", "Q32", "SD32", "D8 x C4", "Q8 x C4",
+    "C4 x C4 x C2", "Q8 x C2 x C2", "D16 x C2", "A4 x C3", "S3 x S3",
+    "sd(C3 x C3 x C3, C2, inv)", "sd(C5 x C5, C2, inv)", "C7 x C7",
+    "S4 x C2", "A4 x C4", "Q12 x C4", "D12 x C4", "C5 x A4", "S3 x D10",
+    "C8 x C8", "D8 x D8", "Q64", "SD64", "D64",
+]
+
+
+def assert_in_window(label: str, order: int, sig: tuple[int, ...]) -> None:
+    assert order in admissible_orders(sig, order), (label, order, sig)
+
+
+def test_catalog_orders_lie_in_their_windows(catalog):
+    # delta 0 included: the empty signature's window is the powers of 2
+    for entry, _table, report in catalog:
+        assert_in_window(entry.label, entry.order, report.signature)
+
+
+def test_claim_orders_lie_in_their_windows(claim_tables):
+    assert len(claim_tables) == len(
+        [r for c in theorem_claims() for r in c.groups]) == 25
+    for table in claim_tables:
+        assert_in_window(table.name, table.order, census(table).signature)
+
+
+def test_larger_orders_lie_in_their_windows(order_64_products):
+    tables = order_64_products + [parse_group(expr) for expr in LARGE_GROUPS]
+    assert all(25 <= table.order <= 64 for table in tables)
+    for table in tables:
+        assert_in_window(table.name, table.order, census(table).signature)

@@ -1,7 +1,7 @@
-"""perfbench's per-layer trace of a verify run, taken in-process.
+"""perfbench's per-layer traces of verify and explore runs, taken in-process.
 
 The tracer finds the layers it times by name; a rename in groupcensus
-would leave a layer silently at zero, which this test catches.
+would leave a layer silently at zero, which these tests catch.
 """
 
 import importlib.util
@@ -23,7 +23,7 @@ def load_tracer():
 
 def test_traced_verify_reports_every_layer(capsys):
     groupcensus.catalog.load_catalog.cache_clear()
-    groupcensus.catalog._built_catalog.cache_clear()
+    groupcensus.catalog._built_order.cache_clear()
     tracer = load_tracer()
     tracer.install()
     try:
@@ -37,3 +37,30 @@ def test_traced_verify_reports_every_layer(capsys):
     assert sums["isomorphism.calls"] == sums["isomorphism.iso_pairs"] == 32
     for layer in ("groups.build_s", "catalog.load_s", "catalog.validate_s"):
         assert sums[layer] > 0, layer
+
+
+def traced_explore(delta, capsys):
+    """The tracer's sums and maxima over one explore run, caches cold."""
+    groupcensus.catalog.load_catalog.cache_clear()
+    groupcensus.catalog._built_order.cache_clear()
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        assert cli.run(["explore", "--delta", str(delta)]) == 0
+    finally:
+        tracer.enable(False)
+    capsys.readouterr()
+    return tracer.sums, tracer.maxima
+
+
+def test_traced_explore_builds_only_windowed_orders(capsys):
+    # the 8525 candidates are listed although most are skipped in runs;
+    # the whole file is parsed, but only the 15 entries of order 24, the
+    # one catalog order in a delta-16 survivor's window, are built
+    sums, maxima = traced_explore(16, capsys)
+    assert maxima["candidates.count.d16"] == 8525
+    assert maxima["catalog.entries"] == 74
+    assert sums["groups.tables"] == 15
+    # no delta-13 survivor has a catalog order in its window
+    sums, _maxima = traced_explore(13, capsys)
+    assert sums.get("groups.tables", 0) == 0

@@ -3,10 +3,12 @@
 import pytest
 from test_candidates import PINNED
 
+import groupcensus.catalog
 import groupcensus.verify
-from groupcensus import (census, explore, is_isomorphic,
-                         known_groups_for, property_suite, theorem_claims,
-                         verify_all, verify_theorem)
+from groupcensus import (CatalogError, SurvivorReport, catalog_tables,
+                         catalog_validate, census, explore, is_isomorphic,
+                         known_groups_for, property_suite, revised_table,
+                         theorem_claims, verify_all, verify_theorem)
 from groupcensus.groups import generated_subgroup, make_dihedral
 from groupcensus.verify import _least_generators_by_subgroup
 
@@ -169,3 +171,58 @@ def test_explore_classified_range():
     assert set(by_sig) == {(4, 4, 4), (5,)}
     assert by_sig[(4, 4, 4)].known == ("Q8",)
     assert by_sig[(5,)].known == ("C5", "D10")
+
+
+def explore_from_whole_catalog(delta):
+    """explore as it was before order windows: witnesses from every
+    catalog table."""
+    witnesses_by_sigma = {}
+    for entry, _table, rep in catalog_tables():
+        witnesses_by_sigma.setdefault(rep.signature, []).append((entry, rep))
+    out = []
+    for sig in revised_table(delta):
+        known = known_groups_for(sig)
+        labels = tuple(r.label for r in known) if known is not None else None
+        out.append(SurvivorReport(sig, tuple(witnesses_by_sigma.get(sig, ())),
+                                  labels))
+    return out
+
+
+# catalog tables explore builds per delta 1..16: the entries of the orders
+# in some survivor's window, against all 74 without the windows
+TABLES_BUILT = [10, 26, 22, 46, 8, 48, 34, 39, 42, 36, 36, 27, 0, 20, 16, 15]
+
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_explore_matches_witnesses_from_whole_catalog(delta, monkeypatch):
+    built = []
+
+    def recording(orders=None):
+        tables = catalog_tables(orders)
+        built.extend(tables)
+        return tables
+
+    monkeypatch.setattr(groupcensus.verify, "catalog_tables", recording)
+    got = explore(delta)
+    monkeypatch.undo()
+    assert got == explore_from_whole_catalog(delta)
+    assert len(built) == TABLES_BUILT[delta - 1]
+
+
+def test_corrupt_entry_stops_explore_only_inside_a_window(monkeypatch):
+    # C5 with a row missing: explore(16) never builds order 5, explore(3)
+    # does, for the window [5, 10] of its survivor (5,); validation of the
+    # whole catalog reports it either way
+    expected = explore(16)
+    tampered = tuple(entry._replace(rows=entry.rows[:4])
+                     if entry.label == "C5" else entry
+                     for entry in groupcensus.catalog.load_catalog())
+    monkeypatch.setattr(groupcensus.catalog, "load_catalog", lambda: tampered)
+    monkeypatch.setattr(groupcensus.catalog, "_built_order",
+                        groupcensus.catalog._built_order.__wrapped__)
+    assert explore(16) == expected
+    with pytest.raises(CatalogError, match="^catalog entry C5: 4 rows"):
+        explore(3)
+    (load,) = [c for c in catalog_validate().sweep if c.name == "catalog_load"]
+    assert not load.passed
+    assert load.detail == "catalog entry C5: 4 rows, stated order 5"
