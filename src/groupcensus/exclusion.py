@@ -138,12 +138,14 @@ def apply_rules(entries: tuple[int, ...]) -> Verdict:
         n[d] = n.get(d, 0) + 1
     n3, n4, n6 = n.get(3), n.get(4), n.get(6)
     fired = []
+    # delta <= 16: also strikes 38 candidates with a non-empty window
     # missing_divisor: a cyclic subgroup of order m contains one of order k
     # for every k | m
     for m in n:
         if not n.keys() >= _divisors_over_2(m):
             fired.append("missing_divisor")
             break
+    # delta <= 16: fires only where the order window is already empty
     # sylow_count: an odd prime p dividing an entry divides |G|, and then
     # the number of subgroups of order p is 1 mod p (Frobenius' refinement
     # of Sylow)
@@ -155,6 +157,7 @@ def apply_rules(entries: tuple[int, ...]) -> Verdict:
             continue
         fired.append("sylow_count")
         break
+    # delta <= 16: fires only where the order window is already empty
     # coprime_product: unique cyclic subgroups of coprime orders a, b are
     # normal and commute elementwise, so an element of order ab exists
     unique: list[int] = []
@@ -168,41 +171,51 @@ def apply_rules(entries: tuple[int, ...]) -> Verdict:
                 continue
             fired.append("coprime_product")
             break
+    # delta <= 16: fires only where the order window is already empty
     # unique_3_with_4: a unique (hence normal) C3 is centralized by the
     # square of any order-4 element, producing an element of order 6
     if n3 == 1 and n4 and not n6:
         fired.append("unique_3_with_4")
+    # delta <= 16: fires only where the order window is already empty
     # two_4s_with_3: with exactly two C4's, any order-3 element acts
     # trivially on the pair and its square centralizes either, giving an
     # element of order 12
     if n4 == 2 and n3 and 12 not in n:
         fired.append("two_4s_with_3")
+    # delta <= 16: also strikes 1 candidate with a non-empty window
     # unique_3_two_6s: two C6's over a unique C3 share their squares, and
     # the product of their generators spans a third C6
     if n3 == 1 and n6 == 2:
         fired.append("unique_3_two_6s")
+    # delta <= 16: fires only where the order window is already empty
     # unique_4_with_3: a unique (hence normal) C4 admits no nontrivial
     # C3-action, so a subgroup C4 x C3 = C12 exists
     if n4 == 1 and n3 and 12 not in n:
         fired.append("unique_4_with_3")
+    # delta <= 16: also strikes 6 candidates with a non-empty window
     # odd_4s: a 2-group with an odd count of C4's is cyclic, dihedral,
     # generalized quaternion or quasidihedral; only C4, D8 (one C4) and Q8
     # (three) have no cyclic subgroup of any other order > 2
     if n4 and len(n) == 1 and n4 % 2 == 1 and n4 not in (1, 3):
         fired.append("odd_4s")
+    # delta <= 16: also strikes 7 candidates with a non-empty window
     # unique_6_repeated_3: a unique (hence normal) C6 next to a disjoint C3
     # forces C6 x C3, which already contains four C6's
     if n6 == 1 and n3 and n3 >= 2:
         fired.append("unique_6_repeated_3")
+    # delta <= 16: fires only where the order window is already empty
     # pattern_36666: no group has four C6's over a unique C3 and nothing else
     if entries == (3, 6, 6, 6, 6):
         fired.append("pattern_36666")
+    # delta <= 16: fires only where the order window is already empty
     # pattern_445: two C4's and a unique (hence normal) C5 give C20
     if entries == (4, 4, 5):
         fired.append("pattern_445")
+    # delta <= 16: also strikes 1 candidate with a non-empty window
     # pattern_448: two C4's under a unique C8 force a second family of 8s
     if entries == (4, 4, 8):
         fired.append("pattern_448")
+    # delta <= 16: fires only where the order window is already empty
     # pattern_34466: an order-4 action on the normal C3 yields a third C4
     # or an element of order 12
     if entries == (3, 4, 4, 6, 6):

@@ -2,9 +2,10 @@
 
 A group of order n lives on the element indices 0..n-1, with 0 always the
 identity.  Rows of the table are stored as ``bytes`` (indices fit in 8 bits
-since the supported order is capped at 64), and every table is checked
-against the full group axioms at construction: cheap at these sizes and it
-turns subtle construction bugs into immediate errors.
+since the supported order is capped at 64).  Every table is checked against
+the full group axioms at construction, the one validity check for every
+built table, semidirect actions included: cheap at these sizes, and it turns
+subtle construction bugs into immediate errors.
 """
 
 from __future__ import annotations
@@ -418,8 +419,8 @@ def action_from_generator_images(acting: GroupTable, target: GroupTable,
     ``images`` assigns an image tuple on the target's elements to each
     generator; the rest of the action is forced by the homomorphism
     property.  Raises if the given elements do not generate the acting
-    group or the assignment is inconsistent; ``semidirect_product`` checks
-    that every map is an automorphism.
+    group or the assignment is inconsistent; the table check of
+    ``semidirect_product`` decides whether every map is an automorphism.
     """
     degree = target.order
     maps = {0: tuple(range(degree))}
@@ -447,50 +448,34 @@ def action_from_generator_images(acting: GroupTable, target: GroupTable,
     return tuple(maps[h] for h in range(acting.order))
 
 
-def _check_action(n: GroupTable, h: GroupTable,
-                  maps: tuple[tuple[int, ...], ...]) -> None:
-    """Every map an automorphism of n, and k -> maps[k] a homomorphism of h."""
-    if len(maps) != h.order:
-        raise InvalidActionError(f"expected {h.order} maps, got {len(maps)}")
-    points = list(range(n.order))
-    for k, img in enumerate(maps):
-        if len(img) != n.order:
-            raise InvalidActionError(
-                f"map for element {k} has degree {len(img)},"
-                f" expected {n.order}")
-        if sorted(img) != points:
-            raise InvalidActionError(
-                f"map for element {k} is not a bijection of 0..{n.order - 1}")
-        if img[0] != 0:
-            raise InvalidActionError(f"map for element {k} moves the identity")
-        for x in points:
-            row = n.product[x]
-            irow = n.product[img[x]]
-            for y in points:
-                if img[row[y]] != irow[img[y]]:
-                    raise InvalidActionError(
-                        f"map for element {k} does not preserve products"
-                        f" at ({x}, {y})")
-    for k1 in range(h.order):
-        for k2 in range(h.order):
-            if tuple(maps[k1][i] for i in maps[k2]) != maps[h.product[k1][k2]]:
-                raise InvalidActionError(
-                    f"maps do not define a homomorphism:"
-                    f" map[{k1}*{k2}] != map[{k1}] o map[{k2}]")
-
-
 def semidirect_product(n: GroupTable, h: GroupTable,
                        action: Sequence[Sequence[int]]) -> GroupTable:
-    """Semidirect product N x| H with (x1,k1)(x2,k2) = (x1*k1(x2), k1*k2).
+    """Semidirect product N x| H with (x1,k1)(x2,k2) = (x1*f_k1(x2), k1*k2).
 
-    ``action[k]`` is the image tuple of the automorphism of N by which
-    element k of H acts; it is checked first.  Pairs are encoded as
-    index(x, k) = x*|h| + k, so a trivial action reproduces
-    ``direct_product(n, h)`` exactly.
+    ``action[k]`` is the image tuple of the bijection f_k of N by which
+    element k of H acts.  Pairs are encoded as index(x, k) = x*|h| + k, so
+    a trivial action reproduces ``direct_product(n, h)`` exactly.
+
+    The table check decides the rest: the table is a group exactly when
+    k -> f_k is a homomorphism H -> Aut(N).  (0,0) is a two-sided identity
+    exactly when f_0 = id and every f_k fixes 0.  Associativity, on first
+    components, says f_k1(x2*f_k2(x3)) = f_k1(x2)*f_k1k2(x3) for all
+    arguments: x2 = 0 gives f_k1 o f_k2 = f_k1k2, k2 = 0 gives
+    f_k1(x2*x3) = f_k1(x2)*f_k1(x3), and these two give it back.
     """
     maps = tuple(tuple(m) for m in action)
-    _check_action(n, h, maps)
-    return GroupTable(_semidirect_rows(n, h, maps), name=f"({n.name}):{h.name}")
+    if len(maps) != h.order:
+        raise InvalidActionError(f"expected {h.order} maps, got {len(maps)}")
+    for k, img in enumerate(maps):
+        if sorted(img) != list(range(n.order)):
+            raise InvalidActionError(
+                f"map for element {k} is not a bijection of 0..{n.order - 1}")
+    rows = _semidirect_rows(n, h, maps)
+    try:
+        return GroupTable(rows, name=f"({n.name}):{h.name}")
+    except GroupConstructionError as err:
+        raise InvalidActionError(f"the maps are not a homomorphism {h.name}"
+                                 f" -> Aut({n.name}): {err}") from None
 
 
 def _semidirect_rows(n: GroupTable, h: GroupTable,

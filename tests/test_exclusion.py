@@ -1,6 +1,7 @@
 """Exclusion rules against the hand-tabulated exclusion and revised tables."""
 
 import math
+from collections import Counter
 from functools import cache
 from typing import Callable
 
@@ -453,3 +454,23 @@ def test_larger_orders_lie_in_their_windows(order_64_products):
     assert all(25 <= table.order <= 64 for table in tables)
     for table in tables:
         assert_in_window(table.name, table.order, census(table).signature)
+
+
+# what the rules add beyond the windows: on delta <= 16, how often each rule
+# fires on a rule-excluded candidate whose full window (up to 4N) is not
+# empty; the other eight rules fire only where the window is empty
+RULES_BEYOND_WINDOWS = {"missing_divisor": 38, "unique_6_repeated_3": 7,
+                        "odd_4s": 6, "unique_3_two_6s": 1, "pattern_448": 1}
+
+
+def test_rules_beyond_the_windows():
+    candidates = [sig for delta in range(1, 17)
+                  for (sig,) in enumerate_candidates(delta)]
+    assert len(candidates) == 25237
+    beyond = [verdict for verdict in map(apply_rules, candidates)
+              if verdict.excluded
+              and admissible_orders(verdict.signature, NO_BOUND)]
+    assert len(beyond) == 52
+    fired = Counter(rule for verdict in beyond
+                    for rule in verdict.fired_rules)
+    assert fired == RULES_BEYOND_WINDOWS

@@ -1,5 +1,6 @@
 """Group-table constructors and element-level operations."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from test_census import cyclic_subgroups
 
 from groupcensus import (MAX_ORDER, GroupConstructionError, GroupTable,
-                         InvalidActionError, census, direct_product,
-                         from_permutations, generated_subgroup,
-                         generating_set, inversion_action, is_isomorphic,
-                         make_alternating, make_cyclic, make_dicyclic,
-                         make_dihedral, make_quasidihedral, make_symmetric,
-                         parse_generators, parse_group, semidirect_product)
+                         InvalidActionError, action_from_generator_images,
+                         census, direct_product, from_permutations,
+                         generated_subgroup, generating_set,
+                         inversion_action, is_isomorphic, make_alternating,
+                         make_cyclic, make_dicyclic, make_dihedral,
+                         make_quasidihedral, make_symmetric, parse_generators,
+                         parse_group, semidirect_product)
 
 
 def order_histogram(g):
@@ -364,6 +366,120 @@ def test_semidirect_rejects_mismatched_action():
     c3, c4 = make_cyclic(3), make_cyclic(4)
     with pytest.raises(InvalidActionError):
         semidirect_product(c4, make_cyclic(2), inversion_action(c3))
+
+
+def action_oracle(n, h, maps):
+    """Every map an automorphism of n, and k -> maps[k] a homomorphism of
+    h, each checked on every pair of elements."""
+    if len(maps) != h.order:
+        raise InvalidActionError(f"expected {h.order} maps, got {len(maps)}")
+    points = list(range(n.order))
+    for k, img in enumerate(maps):
+        if len(img) != n.order:
+            raise InvalidActionError(
+                f"map for element {k} has degree {len(img)},"
+                f" expected {n.order}")
+        if sorted(img) != points:
+            raise InvalidActionError(
+                f"map for element {k} is not a bijection of 0..{n.order - 1}")
+        if img[0] != 0:
+            raise InvalidActionError(f"map for element {k} moves the identity")
+        for x in points:
+            row = n.product[x]
+            irow = n.product[img[x]]
+            for y in points:
+                if img[row[y]] != irow[img[y]]:
+                    raise InvalidActionError(
+                        f"map for element {k} does not preserve products"
+                        f" at ({x}, {y})")
+    for k1 in range(h.order):
+        for k2 in range(h.order):
+            if tuple(maps[k1][i] for i in maps[k2]) != maps[h.product[k1][k2]]:
+                raise InvalidActionError(
+                    f"maps do not define a homomorphism:"
+                    f" map[{k1}*{k2}] != map[{k1}] o map[{k2}]")
+
+
+def semidirect_agrees_with_oracle(n, h, maps):
+    """Whether the action is valid, after asserting that
+    semidirect_product raises InvalidActionError exactly when the oracle
+    does."""
+    try:
+        action_oracle(n, h, maps)
+    except InvalidActionError:
+        with pytest.raises(InvalidActionError):
+            semidirect_product(n, h, maps)
+        return False
+    semidirect_product(n, h, maps)
+    return True
+
+
+def test_semidirect_matches_oracle_on_every_bijection_tuple():
+    # the valid actions are the homomorphisms H -> Aut(N): one each from
+    # C2 and C3 to the trivial Aut(C2), 2 + 1 to Aut(C3) = Aut(C4) = C2
+    # and 4 + 3 to Aut(C2xC2) = S3
+    valid = 0
+    for n in [make_cyclic(2), make_cyclic(3), make_cyclic(4),
+              direct_product(make_cyclic(2), make_cyclic(2))]:
+        bijections = list(itertools.permutations(range(n.order)))
+        for h in [make_cyclic(2), make_cyclic(3)]:
+            for maps in itertools.product(bijections, repeat=h.order):
+                valid += semidirect_agrees_with_oracle(n, h, maps)
+    assert valid == 2 + 3 + 3 + 7
+
+
+def automorphisms(g):
+    return [p for p in itertools.permutations(range(g.order))
+            if p[0] == 0 and all(p[g.product[x][y]] == g.product[p[x]][p[y]]
+                                 for x in range(g.order)
+                                 for y in range(g.order))]
+
+
+def test_semidirect_matches_oracle_on_random_maps():
+    rng = random.Random(1717)
+    valid = 0
+    for n in [make_symmetric(3), make_dihedral(8), make_dicyclic(8),
+              direct_product(make_cyclic(4), make_cyclic(2))]:
+        autos = automorphisms(n)
+        for h in [make_cyclic(2), make_cyclic(4),
+                  direct_product(make_cyclic(2), make_cyclic(2))]:
+            for _ in range(150):
+                # a homomorphism where the generator images extend to one,
+                # else random automorphisms; then maybe one map replaced by
+                # an automorphism, a bijection or an arbitrary map
+                images = {g: rng.choice(autos) for g in generating_set(h)}
+                try:
+                    maps = list(action_from_generator_images(h, n, images))
+                except InvalidActionError:
+                    maps = [rng.choice(autos) for _ in range(h.order)]
+                if rng.random() < 0.5:
+                    points = list(range(n.order))
+                    rng.shuffle(points)
+                    maps[rng.randrange(h.order)] = rng.choice([
+                        rng.choice(autos), tuple(points),
+                        tuple(rng.choices(range(n.order), k=n.order))])
+                valid += semidirect_agrees_with_oracle(n, h, tuple(maps))
+    assert 100 < valid < 4 * 3 * 150 - 100
+
+
+def test_action_from_generator_images_rejects_wrong_degree():
+    with pytest.raises(InvalidActionError, match="degree"):
+        action_from_generator_images(make_cyclic(2), make_cyclic(3),
+                                     {1: (0, 1)})
+
+
+def test_action_from_generator_images_rejects_inconsistent_images():
+    # the 3-cycle has order 3, so it cannot be the image of an involution
+    with pytest.raises(InvalidActionError, match="inconsistent"):
+        action_from_generator_images(make_cyclic(2), make_cyclic(3),
+                                     {1: (1, 2, 0)})
+
+
+def test_action_from_generator_images_rejects_non_generators():
+    # element 2 of C4 generates only {0, 2}
+    with pytest.raises(InvalidActionError, match="only reach"):
+        action_from_generator_images(make_cyclic(4), make_cyclic(3),
+                                     {2: (0, 2, 1)})
 
 
 # ---------------------------------------------------------------------------
