@@ -8,6 +8,7 @@ deterministic: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Sequence
@@ -378,6 +379,10 @@ def run(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> None:
+    """Run the command line in ``sys.argv`` and end the process with its code.
+
+    This always exits, through ``sys.exit``; library callers use ``run``.
+    """
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
@@ -387,4 +392,6 @@ def main() -> None:
         # idiom of the SIGPIPE note in Python's signal documentation)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    # the process is ending: no collection at shutdown should walk its objects
+    gc.freeze()
     sys.exit(code)

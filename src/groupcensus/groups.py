@@ -95,7 +95,7 @@ class GroupTable:
     """
 
     __slots__ = ("order", "product", "inverse", "name", "_orders", "_abelian",
-                 "_profile", "_classes")
+                 "_cheap", "_profile", "_classes")
 
     def __init__(self, product: Sequence[Sequence[int]], name: str = "G"):
         rows = tuple(bytes(row) for row in product)
@@ -111,7 +111,9 @@ class GroupTable:
         self._orders: tuple[int, ...] | None = None
         self._abelian: bool | None = None
         # isomorphism invariants and conjugacy classes, filled in by
-        # isomorphism._profile and isomorphism.conjugacy_classes
+        # isomorphism._cheap_key, isomorphism._profile and
+        # isomorphism.conjugacy_classes
+        self._cheap: tuple | None = None
         self._profile: tuple | None = None
         self._classes: list[tuple[int, ...]] | None = None
 
@@ -156,6 +158,7 @@ class GroupTable:
         clone.name = name
         clone._orders = self._orders
         clone._abelian = self._abelian
+        clone._cheap = self._cheap
         clone._profile = self._profile
         clone._classes = self._classes
         return clone

@@ -132,11 +132,15 @@ def _cheap_key(g: GroupTable) -> tuple:
     """The order, element-order histogram and square-root histogram of g.
 
     These need no conjugacy classes, and census has already cached the
-    element orders; ``_profile`` holds the same three invariants.
+    element orders; ``_profile`` holds the same three invariants.  The key
+    is computed once per table and kept on it.
     """
-    hist = tuple(sorted(Counter(g.element_orders()).items()))
-    roots = Counter(b"".join(g.product)[::g.order + 1])
-    return g.order, hist, tuple(sorted(Counter(roots.values()).items()))
+    if g._cheap is None:
+        hist = tuple(sorted(Counter(g.element_orders()).items()))
+        roots = Counter(b"".join(g.product)[::g.order + 1])
+        g._cheap = (g.order, hist,
+                    tuple(sorted(Counter(roots.values()).items())))
+    return g._cheap
 
 
 def _profile(g: GroupTable) -> tuple:

@@ -1,5 +1,6 @@
 """CLI subcommands: output schemas, determinism and exit codes."""
 
+import gc
 import hashlib
 import io
 import json
@@ -335,6 +336,50 @@ def test_closed_stdout_exits_1_without_traceback():
     child.stderr.close()
     assert child.wait(timeout=60) == 1
     assert stderr == b""
+
+
+def run_python(*args):
+    """A child interpreter on this process's import path, output captured."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          timeout=60, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--all"),
+    ("explore", "--delta", "16"),
+    # 185 kB, more than a pipe holds: the tail is written by the flush at exit
+    ("candidates", "--delta", "16", "--format", "json"),
+])
+def test_process_output_matches_run(argv):
+    child = run_python("-m", "groupcensus", *argv)
+    code, text = run_cli(*argv)
+    assert child.returncode == code == 0
+    assert child.stderr == b""
+    assert child.stdout == text.encode()
+
+
+def test_process_usage_error_exits_2():
+    child = run_python("-m", "groupcensus", "verify", "--delta", "9")
+    assert child.returncode == 2
+    assert child.stderr == b"error: classified deltas are 1..5, got 9\n"
+    assert child.stdout == b""
+
+
+def test_main_freezes_the_collector_and_atexit_still_runs():
+    code = ("import atexit, gc, sys; from groupcensus import cli;"
+            " atexit.register(lambda: print(gc.get_freeze_count() > 0));"
+            " sys.argv[1:] = ['catalog', '--max-order', '4']; cli.main()")
+    child = run_python("-c", code)
+    assert (child.returncode, child.stderr) == (0, b"")
+    text = run_cli("catalog", "--max-order", "4")[1]
+    assert child.stdout == text.encode() + b"True\n"
+
+
+def test_run_leaves_the_collector_unfrozen():
+    before = gc.get_freeze_count()
+    assert run_cli("verify", "--all")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 # well-formed expressions over valid and out-of-range names and random

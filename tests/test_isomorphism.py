@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupcensus.catalog
 from groupcensus import (GroupTable, UnsupportedOrderError,
                          action_from_generator_images, conjugacy_classes,
                          derived_subgroup, direct_product,
@@ -302,3 +303,28 @@ def test_verify_all_searches_only_isomorphic_pairs(monkeypatch):
     assert verify_all().passed
     assert len(verdicts) == 32
     assert all(verdicts)
+
+
+def test_verify_all_computes_each_cheap_key_once(monkeypatch):
+    # catalog_validate, each theorem's catalog hits, the odd-4 check and
+    # the full profiles ask for the keys of the same tables again
+    groupcensus.catalog.load_catalog.cache_clear()
+    groupcensus.catalog._built_order.cache_clear()
+    calls = []
+    plain = isomorphism._cheap_key
+
+    def counted(g):
+        calls.append((g, g._cheap is None))
+        return plain(g)
+
+    monkeypatch.setattr(isomorphism, "_cheap_key", counted)
+    assert verify_all().passed
+    computed = [g for g, fresh in calls if fresh]
+    assert len(computed) == len({id(g) for g, _fresh in calls}) == 108
+    assert len(calls) > len(computed)
+
+
+def test_cheap_key_is_shared_by_renamed_copies():
+    g = make_dicyclic(16)
+    key = isomorphism._cheap_key(g)
+    assert g.renamed("copy")._cheap is key is g._cheap is not None
