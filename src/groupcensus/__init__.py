@@ -24,10 +24,9 @@ from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
                      inversion_action, make_alternating, make_cyclic,
                      make_dicyclic, make_dihedral, make_quasidihedral,
                      make_symmetric, parse_generators, semidirect_product)
-from .isomorphism import (UnsupportedOrderError, conjugacy_classes,
-                          derived_subgroup, extend_generator_map,
-                          generating_set, is_isomorphic,
-                          isomorphism_classes)
+from .isomorphism import (conjugacy_classes, derived_subgroup,
+                          extend_generator_map, generating_set,
+                          is_isomorphic, isomorphism_classes)
 from .report import CheckResult, ClaimResult, VerificationReport
 from .verify import (GroupRecipe, SurvivorReport, TheoremClaim, explore,
                      known_groups_for, property_suite, theorem_claims,
@@ -41,7 +40,7 @@ __all__ = [
     "ExclusionRule", "GroupConstructionError", "GroupExpressionError",
     "GroupRecipe", "GroupTable", "InvalidActionError", "MAX_CATALOG_ORDER",
     "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "RULES", "SurvivorReport",
-    "TheoremClaim", "UnsupportedOrderError", "VerificationReport", "Verdict",
+    "TheoremClaim", "VerificationReport", "Verdict",
     "action_from_generator_images", "apply_rules", "catalog_search",
     "catalog_tables", "catalog_validate", "census",
     "conjugacy_classes", "count_solutions",

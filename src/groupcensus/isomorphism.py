@@ -2,12 +2,12 @@
 
 Invariants settle every pair of distinct catalog groups; the pairs they
 cannot separate fall to a backtracking search that maps a generating set
-of one group into the other, pruned by per-element invariants.  They come
-in two tiers: a cheap key (order, element-order histogram, square-root
-histogram) and the full profile, which adds the sizes of the centre, the
-derived subgroup and the conjugacy classes.  ``isomorphism_classes``
-computes a full profile only for a table whose cheap key another table
-shares.
+of one group into the other, pruned by per-element invariants and by
+closing each partial map.  The invariants come in two tiers: a cheap key
+(order, element-order histogram, square-root histogram) and the full
+profile, which adds the sizes of the centre, the derived subgroup and the
+conjugacy classes.  ``isomorphism_classes`` computes a full profile only
+for a table whose cheap key another table shares.
 
 The invariants are read off byte vectors, so their scans run in C:
 column y of the table is ``b"".join(rows)[y::n]``, the squares x*x are
@@ -26,13 +26,6 @@ from collections import Counter
 from typing import Sequence
 
 from .groups import GroupTable, generated_subgroup
-
-ISOMORPHISM_ORDER_BOUND = 32
-
-
-class UnsupportedOrderError(ValueError):
-    """Isomorphism testing was asked about a group beyond the supported bound."""
-
 
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """Subgroup generated by all commutators."""
@@ -93,14 +86,13 @@ def generating_set(g: GroupTable) -> list[int]:
     return gens
 
 
-def extend_generator_map(src: GroupTable, dst: GroupTable,
-                         images: dict[int, int]) -> list[int] | None:
-    """Extend generator images to a full homomorphism src -> dst.
+def _partial_map(src: GroupTable, dst: GroupTable,
+                 images: dict[int, int]) -> dict[int, int] | None:
+    """The injective homomorphism images defines on the subgroup it spans.
 
-    Returns the image of every element of src, or None when the images do
-    not extend consistently or the given elements do not generate src.
-    The extension is injective-checked, so a non-None result of a map
-    between groups of equal order is a full isomorphism.
+    Closes the map breadth-first over the subgroup of src that the mapped
+    elements generate.  Returns it as {element: image}, or None when two
+    words for one element get different images or two elements one image.
     """
     mapping: dict[int, int] = {0: 0}
     mapping.update(images)
@@ -123,7 +115,20 @@ def extend_generator_map(src: GroupTable, dst: GroupTable,
                 frontier.append(y)
             elif known != fy:
                 return None
-    if len(mapping) != src.order:
+    return mapping
+
+
+def extend_generator_map(src: GroupTable, dst: GroupTable,
+                         images: dict[int, int]) -> list[int] | None:
+    """Extend generator images to a full homomorphism src -> dst.
+
+    Returns the image of every element of src, or None when the images do
+    not extend consistently or the given elements do not generate src.
+    The extension is injective-checked, so a non-None result of a map
+    between groups of equal order is a full isomorphism.
+    """
+    mapping = _partial_map(src, dst, images)
+    if mapping is None or len(mapping) != src.order:
         return None
     return [mapping[x] for x in range(src.order)]
 
@@ -179,22 +184,17 @@ def _element_keys(g: GroupTable) -> list[tuple[int, int]]:
 def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
     """Whether two group tables are isomorphic.
 
-    The answer is exact at any order, but orders above 32 raise
-    UnsupportedOrderError to bound the running time: the search tries a
-    generator map only once every generator has an image, with no
-    pruning of partial maps.
+    After the invariants, the search maps a generating set of a into b
+    one generator at a time, each onto an element with its per-element
+    keys.  It closes each partial map over the subgroup the assigned
+    generators span and backtracks on the first clash, so a map that
+    reaches the last generator is an isomorphism.
     """
-    if a.order > ISOMORPHISM_ORDER_BOUND or b.order > ISOMORPHISM_ORDER_BOUND:
-        raise UnsupportedOrderError(
-            f"isomorphism testing supports orders up to"
-            f" {ISOMORPHISM_ORDER_BOUND}, got {a.order} and {b.order}")
     if a.order != b.order:
         return False
     if _profile(a) != _profile(b):
         return False
     gens = generating_set(a)
-    if not gens:
-        return True
     a_keys = _element_keys(a)
     b_keys = _element_keys(b)
     candidates = [[y for y in range(b.order) if b_keys[y] == a_keys[gen]]
@@ -202,13 +202,11 @@ def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
 
     def search(depth: int, images: dict[int, int]) -> bool:
         if depth == len(gens):
-            return extend_generator_map(a, b, images) is not None
-        taken = set(images.values())
+            return True
         for y in candidates[depth]:
-            if y in taken:
-                continue
             images[gens[depth]] = y
-            if search(depth + 1, images):
+            if (_partial_map(a, b, images) is not None
+                    and search(depth + 1, images)):
                 return True
             del images[gens[depth]]
         return False
@@ -223,14 +221,8 @@ def isomorphism_classes(tables: Sequence[GroupTable]) -> list[int]:
     Tables are bucketed by ``_cheap_key``; a table alone in its bucket is
     a class of its own.  The others are bucketed again by their full
     cached ``_profile``, and only inside such a bucket is a table searched
-    against each class representative, once.  Orders beyond the supported
-    bound raise UnsupportedOrderError, as in ``is_isomorphic``.
+    against each class representative, once.
     """
-    for table in tables:
-        if table.order > ISOMORPHISM_ORDER_BOUND:
-            raise UnsupportedOrderError(
-                f"isomorphism testing supports orders up to"
-                f" {ISOMORPHISM_ORDER_BOUND}, got {table.order}")
     cheap = [_cheap_key(table) for table in tables]
     shared = {key for key, count in Counter(cheap).items() if count > 1}
     buckets: dict[tuple, list[int]] = {}  # profile -> class representatives

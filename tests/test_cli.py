@@ -1,5 +1,6 @@
 """CLI subcommands: output schemas, determinism and exit codes."""
 
+import ast
 import gc
 import hashlib
 import io
@@ -380,6 +381,26 @@ def test_run_leaves_the_collector_unfrozen():
     before = gc.get_freeze_count()
     assert run_cli("verify", "--all")[0] == 0
     assert gc.get_freeze_count() == before
+
+
+def test_no_assert_statements_in_src_or_tools():
+    # invariants raise explicit errors: python -O strips assert statements
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src").rglob("*.py")) + sorted(
+        (root / "tools").rglob("*.py"))
+    assert len(paths) > 12
+    found = [f"{path.relative_to(root)}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_optimized_process_verifies_the_same():
+    plain = run_python("-m", "groupcensus", "verify", "--all")
+    optimized = run_python("-O", "-m", "groupcensus", "verify", "--all")
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stderr == b""
+    assert optimized.stdout == plain.stdout
 
 
 # well-formed expressions over valid and out-of-range names and random

@@ -1,19 +1,21 @@
-"""Isomorphism testing: invariants, backtracking, and the supported bound.
+"""Isomorphism testing: invariants, backtracking, and order-64 coverage.
 
 ``isomorphism_classes`` is checked against pairwise ``is_isomorphic``, the
-oracle it replaced in catalog validation and the claim sweeps.
+oracle it replaced in catalog validation and the claim sweeps, and
+``is_isomorphic``, which closes each partial generator map, against
+``leaf_search_oracle``, the search it replaced, which tries a map only
+once every generator has an image.
 """
 
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupcensus.catalog
-from groupcensus import (GroupTable, UnsupportedOrderError,
-                         action_from_generator_images, conjugacy_classes,
+from groupcensus import (GroupTable, action_from_generator_images,
+                         catalog_tables, conjugacy_classes,
                          derived_subgroup, direct_product,
                          extend_generator_map, generated_subgroup,
                          generating_set, is_isomorphic, isomorphism_classes,
@@ -21,7 +23,7 @@ from groupcensus import (GroupTable, UnsupportedOrderError,
                          make_symmetric, semidirect_product, theorem_claims,
                          verify_all)
 from groupcensus import isomorphism
-from groupcensus.isomorphism import _element_keys, _profile
+from groupcensus.isomorphism import _element_keys, _partial_map, _profile
 from groupcensus.verify import _klein_by_c4, _q8_by_c2
 
 
@@ -49,12 +51,47 @@ def profile_twins():
             (_klein_by_c4(), _q8_by_c2())]
 
 
-def assert_classes_match_oracle(tables):
+def leaf_search_oracle(a, b):
+    """The search ``is_isomorphic`` ran before it closed partial maps.
+
+    After the same invariants, it gives every generator an image among the
+    elements with its per-element keys and only then asks
+    ``extend_generator_map`` whether the map extends to an isomorphism.
+    """
+    if a.order != b.order:
+        return False
+    if _profile(a) != _profile(b):
+        return False
+    gens = generating_set(a)
+    if not gens:
+        return True
+    a_keys = _element_keys(a)
+    b_keys = _element_keys(b)
+    candidates = [[y for y in range(b.order) if b_keys[y] == a_keys[gen]]
+                  for gen in gens]
+
+    def search(depth, images):
+        if depth == len(gens):
+            return extend_generator_map(a, b, images) is not None
+        taken = set(images.values())
+        for y in candidates[depth]:
+            if y in taken:
+                continue
+            images[gens[depth]] = y
+            if search(depth + 1, images):
+                return True
+            del images[gens[depth]]
+        return False
+
+    return search(0, {})
+
+
+def assert_classes_match_oracle(tables, oracle=is_isomorphic):
     keys = isomorphism_classes(tables)
     assert len(keys) == len(tables)
     for i, j in itertools.combinations(range(len(tables)), 2):
         same = (tables[i].order == tables[j].order
-                and is_isomorphic(tables[i], tables[j]))
+                and oracle(tables[i], tables[j]))
         assert (keys[i] == keys[j]) == same, (tables[i].name, tables[j].name)
     # classes are numbered by first appearance
     firsts = sorted(set(keys), key=keys.index)
@@ -97,11 +134,15 @@ def test_reflexive_and_symmetric_on_catalog(catalog):
         assert is_isomorphic(a, b) == is_isomorphic(b, a)
 
 
-def test_unsupported_order_raises():
-    big = direct_product(make_cyclic(8), make_cyclic(8))  # order 64
-    with pytest.raises(UnsupportedOrderError):
-        is_isomorphic(big, big)
-    # order 32 is within the guaranteed bound
+def test_search_agrees_with_leaf_oracle_on_catalog_and_claims(
+        catalog, claim_tables):
+    tables = [table for _entry, table, _report in catalog] + claim_tables
+    pairs = [(a, b) for a, b in itertools.combinations(tables, 2)
+             if a.order == b.order]
+    verdicts = [is_isomorphic(a, b) for a, b in pairs]
+    assert verdicts == [leaf_search_oracle(a, b) for a, b in pairs]
+    # the 25 claims are 24 catalog groups and C2xC2xD8 of order 32
+    assert sum(verdicts) == 24
     d8c2c2 = direct_product(direct_product(make_cyclic(2), make_cyclic(2)),
                             make_dihedral(8))
     assert is_isomorphic(d8c2c2, d8c2c2)
@@ -203,6 +244,16 @@ def test_extend_generator_map():
     assert extend_generator_map(g, g, {three: two}) is None
 
 
+def test_extend_generator_map_needs_generators():
+    # an order-3 element of S3 mapped to itself closes consistently over
+    # its own subgroup, which is not all of S3
+    g = make_symmetric(3)
+    three = next(x for x in range(6) if g.element_orders()[x] == 3)
+    assert sorted(_partial_map(g, g, {three: three}).items()) == \
+        [(x, x) for x in generated_subgroup(g, [three])]
+    assert extend_generator_map(g, g, {three: three}) is None
+
+
 # ---------------------------------------------------------------------------
 # isomorphism classes
 
@@ -239,11 +290,56 @@ def test_profile_cache_is_shared_by_renamed_copies():
     assert g.renamed("copy")._profile is g._profile is not None
 
 
-def test_classes_reject_unsupported_orders():
-    big = direct_product(make_cyclic(8), make_cyclic(8))  # order 64
-    with pytest.raises(UnsupportedOrderError):
-        isomorphism_classes([make_cyclic(2), big])
+def test_classes_of_no_tables():
     assert isomorphism_classes([]) == []
+
+
+# Order-64 extensions (N x C2) : C2, N of order 16 from the catalog, by the
+# involutory automorphism of N x C2 with the given generator images.  Each
+# pair shares its full profile but is not isomorphic.
+PROFILE_TWINS_64 = [
+    (("C8xC2", {2: 9, 1: 15, 4: 20}), ("M16", {2: 19, 1: 1, 4: 4})),
+    (("C16", {2: 2, 1: 17}), ("C16", {2: 18, 1: 1})),
+    (("C4xC4", {2: 12, 4: 18, 1: 1}),
+     ("C2xC2xC2xC2", {1: 25, 2: 6, 4: 4, 6: 2, 8: 26})),
+    (("Q8xC2", {2: 12, 1: 20, 4: 9, 6: 22}), ("C4:C4", {2: 9, 4: 18, 1: 7})),
+]
+
+
+def extension_by_c2(base, images):
+    c2 = make_cyclic(2)
+    n = direct_product(base, c2)
+    alpha = extend_generator_map(n, n, images)
+    action = action_from_generator_images(c2, n, {1: tuple(alpha)})
+    return semidirect_product(n, c2, action).renamed(f"({base.name}xC2):C2")
+
+
+def test_classes_match_leaf_oracle_at_order_64(order_64_products):
+    order_16 = [table for _entry, table, _report in catalog_tables([16])]
+    by_name = {table.name: table for table in order_16}
+    twins = [extension_by_c2(by_name[name], images)
+             for pair in PROFILE_TWINS_64 for name, images in pair]
+    rnd = random.Random(64)
+
+    def shuffled(g):
+        return relabelled(g, [0, *rnd.sample(range(1, 64), 63)], g.name)
+
+    # C2^6 is not relabelled: it already comes twice, as C2xC2xC2xC2 x
+    # C2xC2, and the leaf search takes about 1.5 s on such a pair
+    c2xc2 = direct_product(make_cyclic(2), make_cyclic(2))
+    tables = (order_64_products
+              + [shuffled(g) for g in order_64_products[:2]]
+              + [direct_product(h, make_cyclic(4)) for h in order_16]
+              + [direct_product(h, c2xc2) for h in order_16]
+              + twins + [shuffled(g) for g in twins[::2]])
+    assert len(tables) == 3 + 2 + 14 + 14 + 8 + 4
+    for a, b in zip(twins[::2], twins[1::2]):
+        assert _profile(a) == _profile(b)
+    assert isomorphism_classes(twins) == list(range(8))
+    keys = assert_classes_match_oracle(tables, leaf_search_oracle)
+    # the relabelled copies, and C2xC2xC2xC2 x C2xC2 = C2^6, (C4xC2xC2) x
+    # C4 = C4xC4 x C2xC2 and C2xC2xC2xC2 x C4 = (C4xC2xC2) x C2xC2
+    assert len(set(keys)) == len(tables) - 2 - 3 - 4
 
 
 # ---------------------------------------------------------------------------

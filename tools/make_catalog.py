@@ -20,8 +20,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from groupcensus import (GroupTable, action_from_generator_images,  # noqa: E402
-                         direct_product,
+from groupcensus import (GroupTable, InvalidActionError,  # noqa: E402
+                         action_from_generator_images, direct_product,
                          extend_generator_map, from_permutations,
                          generating_set,
                          inversion_action, make_alternating, make_cyclic,
@@ -93,7 +93,9 @@ def sl23() -> GroupTable:
     q8 = make_dicyclic(8)
     # q8 indices: a = 1, b = 4, ab = 5; the automorphism a -> b -> ab -> a
     images = extend_generator_map(q8, q8, {1: 4, 4: 5})
-    assert images is not None
+    if images is None:
+        raise InvalidActionError(
+            "a -> b, b -> ab does not extend to an automorphism of Q8")
     action = action_from_generator_images(
         make_cyclic(3), q8, {1: images})
     return semidirect_product(q8, make_cyclic(3), action)
