@@ -72,3 +72,33 @@ def test_summary_of_canned_pairs():
     runs[-1]["result"] = json.loads(traced_line(8525, 6, 0.06))
     assert tool.summarize(runs, end_to_end)["traced"]["explore"][
         "fired_and_counts_identical"] is False
+
+
+def test_peak_rss_fit_of_canned_runs():
+    tool = load_tool()
+    end_to_end = [{"name": "peak_rss_mb", "better": "lower"}]
+
+    def run(seed, side, operations, rss):
+        return {"workload": "census", "seed": seed, "side": side, "trace": 0,
+                "record": {"samples": {"operations": operations}},
+                "result": {"attempted": operations, "failed": 0, "metrics": {
+                    "peak_rss_mb": {"value": rss, "unit": "MB"}}}}
+
+    # peak = 10 MB + 1 MB per 1,000 operations on both sides: the change
+    # reads 2 MB more in the median only because it ran more operations
+    runs = [run(1, "parent", 1000, 11.0), run(1, "change", 2000, 12.0),
+            run(2, "change", 4000, 14.0), run(2, "parent", 2000, 12.0),
+            run(3, "parent", 3000, 13.0), run(3, "change", 5000, 15.0)]
+    census = tool.summarize(runs, end_to_end)["census"]
+    assert census["peak_rss_mb"]["parent_median"] == 12.0
+    assert census["peak_rss_mb"]["change_median"] == 14.0
+    assert census["peak_rss_mb_fit"] == {
+        "parent_operations_median": 2000, "change_operations_median": 4000,
+        "mb_per_10k_operations": 10.0, "intercept_mb": 10.0}
+    # one operation count throughout: medians, no line
+    for r in runs:
+        r["record"]["samples"]["operations"] = 1000
+    assert tool.summarize(runs, end_to_end)["census"]["peak_rss_mb_fit"] == {
+        "parent_operations_median": 1000, "change_operations_median": 1000}
+    # no peak_rss_mb among the metrics: no fit
+    assert "peak_rss_mb_fit" not in tool.summarize(runs, [])["census"]

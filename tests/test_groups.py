@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -44,10 +45,11 @@ def test_constructor_outputs_revalidate(g):
 
 def test_validation_rejects_broken_tables():
     with pytest.raises(GroupConstructionError):
-        GroupTable([[0, 1], [1, 1]])  # not a Latin square
+        GroupTable([[0, 1], [1, 1]])  # row 1 is not a permutation
     with pytest.raises(GroupConstructionError):
         GroupTable([[1, 0], [0, 1]])  # 0 is not the identity
-    # Latin square with identity but not associative: swap two entries of C5
+    # rows and columns permutations with identity 0, not associative: swap
+    # two entries in each of two rows of C5
     c5 = [list(row) for row in make_cyclic(5).product]
     c5[1][1], c5[1][2] = c5[1][2], c5[1][1]
     c5[2][1], c5[2][2] = c5[2][2], c5[2][1]
@@ -55,7 +57,7 @@ def test_validation_rejects_broken_tables():
         GroupTable(c5)
     with pytest.raises(GroupConstructionError):
         GroupTable([])
-    # a loop: a Latin square with identity 0 that is not associative
+    # a loop: rows and columns permutations, identity 0, not associative
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
             [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
     with pytest.raises(GroupConstructionError,
@@ -87,6 +89,67 @@ def accepts(rows):
     except GroupConstructionError:
         return False
     return True
+
+
+def axioms_oracle(rows):
+    """Whether the rows form a group by the checks GroupTable ran before
+    its column scan was dropped: every row and every column a permutation
+    of 0..n-1, element 0 a two-sided identity, and all-pairs
+    associativity."""
+    n = len(rows)
+    ident = bytes(range(n))
+    if any(len(row) != n or bytes(sorted(row)) != ident for row in rows):
+        return False
+    if any(bytes(sorted(col)) != ident for col in zip(*rows)):
+        return False
+    if rows[0] != ident or any(rows[x][0] != x for x in range(n)):
+        return False
+    return all_pairs_associative(rows)
+
+
+def row_normalized_tables(n):
+    """Every table of order n whose rows are permutations of 0..n-1 and
+    whose row 0 and column 0 are the identity."""
+    tails = [[p for p in itertools.permutations(range(n)) if p[0] == x]
+             for x in range(1, n)]
+    for rows in itertools.product(*tails):
+        yield [bytes(range(n))] + [bytes(row) for row in rows]
+
+
+def test_validator_matches_axioms_oracle_on_every_small_table():
+    # 1 + 1 + 2 * 2 + 6 ** 3 tables; the groups among them are C1, C2, C3,
+    # the 3 labellings of C4 and the one of C2xC2
+    tables = [rows for n in range(1, 5) for rows in row_normalized_tables(n)]
+    assert len(tables) == 222
+    verdicts = [accepts(rows) for rows in tables]
+    assert verdicts == [axioms_oracle(rows) for rows in tables]
+    assert sum(verdicts) == 7
+
+
+def test_validator_matches_axioms_oracle_on_random_tables():
+    # per order 5..64: a random row-normalized table, and a relabelled
+    # group with 0, 1 or 2 entries swapped within rows, away from row 0
+    # and column 0, so the rows stay permutations and the identity holds
+    rnd = random.Random(20)
+    accepted = 0
+    for n in range(5, MAX_ORDER + 1):
+        rest = list(range(1, n))
+        tables = [[bytes(range(n))] + [
+            bytes([x] + rnd.sample([y for y in range(n) if y != x], n - 1))
+            for x in rest]]
+        for swaps in range(3):
+            build = rnd.choice([make_cyclic] + [make_dihedral] * (n % 2 == 0))
+            rows = relabelled_rows(build(n), rnd)
+            for _ in range(swaps):
+                x = rnd.choice(rest)
+                y, y2 = rnd.sample(rest, 2)
+                rows[x][y], rows[x][y2] = rows[x][y2], rows[x][y]
+            tables.append([bytes(row) for row in rows])
+        for rows in tables:
+            verdict = accepts(rows)
+            assert verdict == axioms_oracle(rows), n
+            accepted += verdict
+    assert accepted == MAX_ORDER - 4  # the unswapped groups
 
 
 @st.composite
@@ -182,10 +245,13 @@ def relabelled_rows(g, rnd):
                       for b in range(g.order)) for a in range(g.order)]
 
 
+ASSOCIATIVITY = r"associativity fails at \((\d+), (\d+)\)"
+
+
 def damaged_tables(seed, count):
     """Seeded tables of order 1..64: relabelled groups, intact or with one
-    defect, each with the error GroupTable must raise for it (None for an
-    intact group)."""
+    defect, each with a pattern of the error GroupTable must raise for it
+    (None for an intact group)."""
     rnd = random.Random(seed)
     for _ in range(count):
         n = rnd.randint(1, MAX_ORDER)
@@ -202,35 +268,52 @@ def damaged_tables(seed, count):
         if defect == "row":  # row x repeats a value; so does column y
             rows[x][y] = rows[x][(y + rnd.randrange(1, n)) % n]
             error = f"row {x} is not a permutation of 0..{n - 1}"
-        elif defect == "column":  # rows stay permutations
+        elif defect == "column":  # rows stay permutations, column y repeats
             y2 = (y + rnd.randrange(1, n)) % n
             rows[x][y], rows[x][y2] = rows[x][y2], rows[x][y]
-            error = f"column {min(y, y2)} is not a permutation of 0..{n - 1}"
+            # no group has such a column, so with the identity intact
+            # associativity fails
+            error = ("element 0 is not a two-sided identity" if 0 in (x, y, y2)
+                     else ASSOCIATIVITY)
         elif defect == "value":
             rows[x][y] = rnd.randrange(n, 256)
             error = f"row {x} is not a permutation of 0..{n - 1}"
-        elif defect == "identity":  # still a Latin square
+        elif defect == "identity":  # rows and columns stay permutations
             rows[0], rows[x or 1] = rows[x or 1], rows[0]
             error = "element 0 is not a two-sided identity"
         elif defect == "length":
             del rows[x][y]
             error = f"row {x} has length {n - 1}, expected {n}"
+        if error not in (None, ASSOCIATIVITY):
+            error = re.escape(error)
         yield defect, [bytes(row) for row in rows], error
 
 
 def test_validator_names_the_first_defect():
-    # every check of the Latin-square and identity axioms, with the row
-    # or column it names, on tables up to the largest supported order
+    # every check of the row, identity and associativity axioms, with the
+    # row or pair it names, on tables up to the largest supported order; a
+    # named pair (a, b) must be a witness: a(by) != (ab)y for some y.  The
+    # axioms oracle rejects exactly the damaged tables.
     seen = Counter()
+    column_errors = Counter()
     for defect, rows, error in damaged_tables(seed=10, count=400):
+        assert axioms_oracle(rows) == (error is None), defect
         if error is None:
             GroupTable(rows)
         else:
             with pytest.raises(GroupConstructionError) as raised:
                 GroupTable(rows)
-            assert str(raised.value) == error, defect
+            found = re.fullmatch(error, str(raised.value))
+            assert found, (defect, str(raised.value))
+            if found.groups():
+                a, b = map(int, found.groups())
+                assert any(rows[a][rows[b][y]] != rows[rows[a][b]][y]
+                           for y in range(len(rows))), (defect, a, b)
+            if defect == "column":
+                column_errors[error] += 1
         seen[defect] += 1
     assert len(seen) == 6
+    assert len(column_errors) == 2
 
 
 @pytest.mark.parametrize("g", SAMPLE_GROUPS, ids=lambda g: g.name)

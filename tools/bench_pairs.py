@@ -20,7 +20,12 @@ workload and end-to-end metric of the change's BENCHMARK.json, the median
 and quartiles of each side over the pairs (``statistics.quantiles(n=4,
 method='inclusive')``) and the number of pairs in which the change reads
 better, and for traced pairs each side's median per-layer value and the
-number of pairs in which the change's value is lower.  The output file is
+number of pairs in which the change's value is lower.  Where the metrics
+include ``peak_rss_mb``, each workload also gets the least-squares line of
+that metric against the run's operation count (``samples.operations``),
+over both sides' runs, with each side's median count: a run's peak
+includes the harness's own size, which grows with the latencies it keeps,
+so a faster program can read larger without being larger.  The output file is
 rewritten after every run, so an interrupted session keeps what it ran.
 Standard library only.
 """
@@ -62,12 +67,14 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def _pairs(runs: list[dict], workload: str, trace: int) -> list[dict]:
-    """The result lines of the seeds run on both sides, as {side: result}."""
+def _pairs(runs: list[dict], workload: str, trace: int,
+           line: str = "result") -> list[dict]:
+    """The result (or record) lines of the seeds run on both sides, as
+    {side: line}."""
     by_seed: dict[int, dict[str, dict]] = {}
     for r in runs:
         if r["workload"] == workload and r["trace"] == trace:
-            by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r[line]
     return [sides for _seed, sides in sorted(by_seed.items())
             if len(sides) == 2]
 
@@ -78,6 +85,24 @@ def _wins(pairs: list[dict], name: str, sign: int) -> str:
                if sign * p["change"]["metrics"][name]["value"]
                < sign * p["parent"]["metrics"][name]["value"])
     return f"{wins}/{len(pairs)}"
+
+
+def _rss_fit(pairs: list[dict], records: list[dict]) -> dict:
+    """peak_rss_mb against operations: each side's median operation count,
+    and the least-squares slope (MB per 10k operations) and intercept over
+    both sides' runs."""
+    ops = {side: [r[side]["samples"]["operations"] for r in records]
+           for side in SIDES}
+    medians = {side: statistics.median(ops[side]) for side in SIDES}
+    fit = {f"{side}_operations_median": medians[side] for side in SIDES}
+    xs = ops["parent"] + ops["change"]
+    ys = [p[side]["metrics"]["peak_rss_mb"]["value"] for side in SIDES
+          for p in pairs]
+    if len(set(xs)) > 1:
+        slope, intercept = statistics.linear_regression(xs, ys)
+        fit["mb_per_10k_operations"] = round(slope * 1e4, 4)
+        fit["intercept_mb"] = round(intercept, 3)
+    return fit
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -105,6 +130,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 stats["change_better"] = _wins(
                     pairs, name, 1 if metric["better"] == "lower" else -1)
                 entry[name] = stats
+            if "peak_rss_mb" in entry:
+                entry["peak_rss_mb_fit"] = _rss_fit(
+                    pairs, _pairs(runs, workload, 0, "record"))
         for key in ("attempted", "failed"):
             entry[key] = {side: sum(p[side][key] for p in pairs)
                           for side in SIDES}
