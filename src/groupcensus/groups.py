@@ -334,7 +334,8 @@ def make_alternating(n: int) -> GroupTable:
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Componentwise product on pairs, encoded as index(x, y) = x*|b| + y."""
+    """Componentwise product on pairs, encoded as index(x, y) = x*|b| + y:
+    the rows of ``semidirect_product`` with every map the identity."""
     ident = tuple(range(a.order))
     return GroupTable(_semidirect_rows(a, b, (ident,) * b.order),
                       name=f"{a.name}x{b.name}")
@@ -481,20 +482,26 @@ def semidirect_product(n: GroupTable, h: GroupTable,
 
 
 def _semidirect_rows(n: GroupTable, h: GroupTable,
-                     maps: Sequence[Sequence[int]]) -> list[list[int]]:
+                     maps: Sequence[Sequence[int]]) -> list[bytes]:
+    """The rows of N x| H under f_k = maps[k] for k < |h|, with (x, k) at
+    index x*|h| + k and (x1,k1)(x2,k2) = (x1*f_k1(x2), k1*k2).
+
+    Row (x1, k1) is |n| blocks, block x2 being row k1 of h plus v*|h| for
+    v = x1*f_k1(x2).  Each such block is made once per (k1, v), by
+    translating row k1 through the window at v*|h| of a doubled identity;
+    f_k1 translated through row x1 gives every v of the row at once, so a
+    row is one translate and one join.  ``semidirect_rows_oracle`` in the
+    tests keeps the per-cell loop.
+    """
     order = n.order * h.order
     if order > MAX_ORDER:
         raise ValueError(f"product order {order} exceeds {MAX_ORDER}")
     nh = h.order
-    rows = [[0] * order for _ in range(order)]
-    for x1 in range(n.order):
-        for k1 in range(nh):
-            row = rows[x1 * nh + k1]
-            act = maps[k1]
-            nrow = n.product[x1]
-            hrow = h.product[k1]
-            for x2 in range(n.order):
-                base = nrow[act[x2]] * nh
-                for k2 in range(nh):
-                    row[x2 * nh + k2] = base + hrow[k2]
-    return rows
+    shift = bytes(range(256)) * 2
+    acts = [(bytes(maps[k]),
+             [hrow.translate(shift[v * nh:v * nh + 256])
+              for v in range(n.order)])
+            for k, hrow in enumerate(h.product)]
+    pad = bytes(256 - n.order)
+    return [b"".join(map(blocks.__getitem__, act.translate(nrow + pad)))
+            for nrow in n.product for act, blocks in acts]

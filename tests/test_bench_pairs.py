@@ -102,3 +102,31 @@ def test_peak_rss_fit_of_canned_runs():
         "parent_operations_median": 1000, "change_operations_median": 1000}
     # no peak_rss_mb among the metrics: no fit
     assert "peak_rss_mb_fit" not in tool.summarize(runs, [])["census"]
+
+
+def test_summary_keeps_5_significant_digits():
+    tool = load_tool()
+    end_to_end = [{"name": "latency_ref.p50", "better": "lower"}]
+    # census-sized latencies, which 4 decimals would all read as 0.003
+    canned = [(1, "parent", 0.0029605), (1, "change", 0.0027001),
+              (2, "parent", 0.0029611), (2, "change", 0.0026999),
+              (3, "parent", 0.0029599), (3, "change", 0.0027003)]
+    runs = [{"workload": "census", "seed": seed, "side": side, "trace": 0,
+             "result": json.loads(result_line(p50, 1.0, 10))}
+            for seed, side, p50 in canned]
+    runs += [{"workload": "census", "seed": seed, "side": side, "trace": 1,
+              "result": json.loads(traced_line(8525, 5, seconds))}
+             for seed, side, seconds in ((9, "parent", 0.0012345678),
+                                         (9, "change", 1.2345678))]
+    summary = tool.summarize(runs, end_to_end)
+    assert summary["census"]["latency_ref.p50"] == {
+        "parent_median": 0.0029605, "parent_q1": 0.0029602,
+        "parent_q3": 0.0029608, "change_median": 0.0027001,
+        "change_q1": 0.0027, "change_q3": 0.0027002, "change_better": "3/3"}
+    traced = summary["traced"]["census"]
+    assert traced["verify.explore_s"] == {
+        "parent_median": 0.0012346, "change_median": 1.2346,
+        "change_lower": "0/1"}
+    # counts stay exact integers
+    assert traced["candidates.count.d16"]["parent_median"] == 8525
+    assert isinstance(traced["candidates.count.d16"]["parent_median"], int)

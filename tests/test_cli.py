@@ -152,6 +152,14 @@ def test_catalog_empty_sigma_is_the_empty_signature():
     assert text.endswith("\n5 groups\n")
 
 
+def test_catalog_max_order_bounds_the_window():
+    # S3 has signature (3,) too, but order 6 lies past --max-order 5
+    code, text = run_cli("catalog", "--sigma", "3", "--max-order", "5")
+    assert code == 0
+    assert [line.split()[2] for line in text.splitlines()[:-1]] == ["C3"]
+    assert text.endswith("\n1 groups\n")
+
+
 def test_catalog_sigma_entries_must_exceed_2(capsys):
     code, text = run_cli("catalog", "--sigma", "2")
     assert (code, text) == (2, "")

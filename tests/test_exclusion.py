@@ -384,6 +384,15 @@ def test_empty_signature_window_is_the_powers_of_2():
     assert admissible_orders((), 24) == [1, 2, 4, 8, 16]
 
 
+@pytest.mark.parametrize("max_order", [5, 12, 24, 64])
+def test_windows_stay_under_max_order(max_order):
+    # the window's upper end is max_order itself, never one step past it
+    for delta in range(1, 17):
+        for cand in enumerate_candidates(delta):
+            orders = admissible_orders(cand.signature, max_order)
+            assert all(n <= max_order for n in orders), cand.signature
+
+
 # the windows of the delta <= 5 survivors, from the five conditions
 PINNED_WINDOWS = {
     (3,): [3, 6], (4,): [4, 8],

@@ -19,6 +19,7 @@ from groupcensus import (MAX_ORDER, GroupConstructionError, GroupTable,
                          make_cyclic, make_dicyclic, make_dihedral,
                          make_quasidihedral, make_symmetric, parse_generators,
                          parse_group, semidirect_product)
+from groupcensus.groups import _semidirect_rows
 
 
 def order_histogram(g):
@@ -451,6 +452,72 @@ def test_semidirect_rejects_mismatched_action():
         semidirect_product(c4, make_cyclic(2), inversion_action(c3))
 
 
+def test_semidirect_rejects_wrong_number_of_maps():
+    # the rows read only maps[0..|H|-1]: without the count check a third
+    # map would be ignored, and a missing one read past the end
+    c3 = make_cyclic(3)
+    ident, inv = inversion_action(c3)
+    with pytest.raises(InvalidActionError, match="expected 2 maps, got 3"):
+        semidirect_product(c3, make_cyclic(2), (ident, inv, ident))
+    with pytest.raises(InvalidActionError, match="expected 2 maps, got 1"):
+        semidirect_product(c3, make_cyclic(2), (ident,))
+
+
+def semidirect_rows_oracle(n, h, maps):
+    """The rows of (x1,k1)(x2,k2) = (x1*f_k1(x2), k1*k2), element (x, k)
+    at index x*|h| + k, filled one cell at a time."""
+    nh = h.order
+    order = n.order * nh
+    rows = [[0] * order for _ in range(order)]
+    for x1 in range(n.order):
+        for k1 in range(nh):
+            row = rows[x1 * nh + k1]
+            act = maps[k1]
+            nrow = n.product[x1]
+            hrow = h.product[k1]
+            for x2 in range(n.order):
+                base = nrow[act[x2]] * nh
+                for k2 in range(nh):
+                    row[x2 * nh + k2] = base + hrow[k2]
+    return tuple(bytes(row) for row in rows)
+
+
+METACYCLIC = ([make_dihedral(k) for k in range(2, 33, 2)]
+              + [make_dicyclic(k) for k in range(8, 33, 4)]
+              + [make_quasidihedral(16), make_quasidihedral(32)])
+CONSTRUCTED = ([make_cyclic(k) for k in range(1, 33)] + METACYCLIC
+               + [make_symmetric(k) for k in range(1, 5)]
+               + [make_alternating(k) for k in range(1, 5)])
+# (H, k -> whether k maps onto the generator of C2), a homomorphism: the
+# parity of the exponent in C_2m, the coset of s in the metacyclic groups
+SIGNS = ([(make_cyclic(k), lambda x: x % 2) for k in range(2, 33, 2)]
+         + [(g, lambda x, m=g.order // 2: x >= m) for g in METACYCLIC])
+
+
+def test_semidirect_rows_match_oracle_on_small_pairs():
+    # every pair of constructor groups under the identity action, and
+    # each abelian N under inversion pulled back along H -> C2
+    pairs = inverted = 0
+    for n in CONSTRUCTED:
+        ident = tuple(range(n.order))
+        actions = [(h, (ident,) * h.order) for h in CONSTRUCTED]
+        if n.is_abelian:
+            inv = tuple(n.inverse)
+            actions += [(h, tuple(inv if sign(k) else ident
+                                  for k in range(h.order)))
+                        for h, sign in SIGNS]
+        for h, maps in actions:
+            if n.order * h.order > MAX_ORDER:
+                continue
+            rows = semidirect_rows_oracle(n, h, maps)
+            assert tuple(_semidirect_rows(n, h, maps)) == rows, \
+                (n.name, h.name, maps)
+            assert semidirect_product(n, h, maps).product == rows
+            pairs += 1
+            inverted += maps[-1] != ident
+    assert (pairs, inverted) == (1689, 181)
+
+
 def action_oracle(n, h, maps):
     """Every map an automorphism of n, and k -> maps[k] a homomorphism of
     h, each checked on every pair of elements."""
@@ -493,7 +560,9 @@ def semidirect_agrees_with_oracle(n, h, maps):
         with pytest.raises(InvalidActionError):
             semidirect_product(n, h, maps)
         return False
-    semidirect_product(n, h, maps)
+    rows = semidirect_rows_oracle(n, h, maps)
+    assert tuple(_semidirect_rows(n, h, maps)) == rows
+    assert semidirect_product(n, h, maps).product == rows
     return True
 
 

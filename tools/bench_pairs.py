@@ -20,7 +20,9 @@ workload and end-to-end metric of the change's BENCHMARK.json, the median
 and quartiles of each side over the pairs (``statistics.quantiles(n=4,
 method='inclusive')``) and the number of pairs in which the change reads
 better, and for traced pairs each side's median per-layer value and the
-number of pairs in which the change's value is lower.  Where the metrics
+number of pairs in which the change's value is lower.  Medians and
+quartiles keep 5 significant digits, so a census latency of 0.003 ref
+keeps as many as a verify latency of 0.9.  Where the metrics
 include ``peak_rss_mb``, each workload also gets the least-squares line of
 that metric against the run's operation count (``samples.operations``),
 over both sides' runs, with each side's median count: a run's peak
@@ -65,6 +67,11 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def _significant(value: float) -> float:
+    """A measured value to 5 significant digits; counts stay exact."""
+    return value if isinstance(value, int) else float(f"{value:.5g}")
 
 
 def _pairs(runs: list[dict], workload: str, trace: int,
@@ -124,9 +131,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 for side in SIDES:
                     q1, median, q3 = _quartiles(
                         [p[side]["metrics"][name]["value"] for p in pairs])
-                    stats[f"{side}_median"] = round(median, 4)
-                    stats[f"{side}_q1"] = round(q1, 4)
-                    stats[f"{side}_q3"] = round(q3, 4)
+                    stats[f"{side}_median"] = _significant(median)
+                    stats[f"{side}_q1"] = _significant(q1)
+                    stats[f"{side}_q3"] = _significant(q3)
                 stats["change_better"] = _wins(
                     pairs, name, 1 if metric["better"] == "lower" else -1)
                 entry[name] = stats
@@ -145,8 +152,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         layers: dict = {"pairs": len(pairs)}
         for name in pairs[0]["parent"]["metrics"]:
             layers[name] = {
-                f"{side}_median": round(statistics.median(
-                    p[side]["metrics"][name]["value"] for p in pairs), 6)
+                f"{side}_median": _significant(statistics.median(
+                    p[side]["metrics"][name]["value"] for p in pairs))
                 for side in SIDES}
             layers[name]["change_lower"] = _wins(pairs, name, 1)
         layers["fired_and_counts_identical"] = all(
