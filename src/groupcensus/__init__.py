@@ -20,10 +20,11 @@ from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, RULES,
 from .expressions import GroupExpressionError, parse_group
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
                      MAX_ORDER, action_from_generator_images,
-                     direct_product, from_permutations, generated_subgroup,
-                     inversion_action, make_alternating, make_cyclic,
-                     make_dicyclic, make_dihedral, make_quasidihedral,
-                     make_symmetric, parse_generators, semidirect_product)
+                     cyclic_extension, direct_product, from_permutations,
+                     generated_subgroup, inversion_action, make_alternating,
+                     make_cyclic, make_dicyclic, make_dihedral,
+                     make_quasidihedral, make_symmetric, parse_generators,
+                     semidirect_product)
 from .isomorphism import (conjugacy_classes, derived_subgroup,
                           extend_generator_map, generating_set,
                           is_isomorphic, isomorphism_classes)
@@ -43,7 +44,7 @@ __all__ = [
     "TheoremClaim", "VerificationReport", "Verdict",
     "action_from_generator_images", "apply_rules", "catalog_search",
     "catalog_tables", "catalog_validate", "census",
-    "conjugacy_classes", "count_solutions",
+    "conjugacy_classes", "count_solutions", "cyclic_extension",
     "derived_subgroup", "direct_product",
     "enumerate_candidates", "euler_phi", "explore",
     "extend_generator_map", "from_permutations", "generated_subgroup",

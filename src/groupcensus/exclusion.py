@@ -288,6 +288,8 @@ def admissible_orders(entries: tuple[int, ...], max_order: int) -> list[int]:
     bound 4N; the other conditions leave the powers of 2 up to max_order,
     the orders of the elementary abelian 2-groups.  The orders come sorted.
     """
+    if entries and max(entries) > max_order:
+        return []  # Lagrange, before trial division on a huge entry
     big = sum(map(_phi, entries))  # N
     top = min(4 * big, max_order) if entries else max_order
     if big >= top:

@@ -5,7 +5,8 @@ identity.  Rows of the table are stored as ``bytes`` (indices fit in 8 bits
 since the supported order is capped at 64).  Every table is checked against
 the group axioms at construction (rows, identity, associativity; columns
 follow), the one validity check for every built table, semidirect actions
-included: cheap at these sizes, and construction bugs fail at once.
+and cyclic extensions included: cheap at these sizes, and construction bugs
+fail at once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 MAX_ORDER = 64
+_DOUBLED = bytes(range(256)) * 2  # _shifted's windows
 
 
 class GroupConstructionError(ValueError):
@@ -116,15 +118,6 @@ class GroupTable:
         self._cheap: tuple | None = None
         self._profile: tuple | None = None
         self._classes: list[tuple[int, ...]] | None = None
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inverse[x], -k
-        acc = 0
-        row = self.product[x]
-        for _ in range(k):
-            acc = row[acc]
-        return acc
 
     @property
     def is_abelian(self) -> bool:
@@ -259,22 +252,6 @@ def make_cyclic(n: int) -> GroupTable:
     return GroupTable(rows, name=f"C{n}")
 
 
-def _metacyclic(n: int, t: int, z: int, name: str) -> GroupTable:
-    """<r, s | r^n = 1, s^2 = r^z, s r s^-1 = r^t> of order 2n, where
-    t^2 = 1 and t*z = z modulo n.
-
-    Indices: r^i -> i, s r^i -> n + i, so r^i s = s r^(t*i).
-    """
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = (i + j) % n
-            rows[i][n + j] = n + (t * i + j) % n
-            rows[n + i][j] = n + (i + j) % n
-            rows[n + i][n + j] = (z + t * i + j) % n
-    return GroupTable(rows, name=name)
-
-
 def make_dihedral(two_n: int) -> GroupTable:
     """Dihedral group of order two_n: <r, s | r^n = s^2 = 1, s r s = r^-1>.
 
@@ -284,7 +261,8 @@ def make_dihedral(two_n: int) -> GroupTable:
     if two_n % 2 != 0 or not 2 <= two_n <= MAX_ORDER:
         raise ValueError(f"dihedral order must be even and in 2..{MAX_ORDER},"
                          f" got {two_n}")
-    return _metacyclic(two_n // 2, -1, 0, f"D{two_n}")
+    c = make_cyclic(two_n // 2)
+    return cyclic_extension(c, 2, c.inverse, 0, f"D{two_n}")
 
 
 def make_dicyclic(four_n: int) -> GroupTable:
@@ -296,7 +274,8 @@ def make_dicyclic(four_n: int) -> GroupTable:
     if four_n % 4 != 0 or not 8 <= four_n <= MAX_ORDER:
         raise ValueError(f"dicyclic order must be a multiple of 4 in"
                          f" 8..{MAX_ORDER}, got {four_n}")
-    return _metacyclic(four_n // 2, -1, four_n // 4, f"Q{four_n}")
+    c = make_cyclic(four_n // 2)
+    return cyclic_extension(c, 2, c.inverse, four_n // 4, f"Q{four_n}")
 
 
 def make_quasidihedral(two_k: int) -> GroupTable:
@@ -307,7 +286,9 @@ def make_quasidihedral(two_k: int) -> GroupTable:
     if two_k < 16 or two_k > MAX_ORDER or two_k & (two_k - 1):
         raise ValueError(f"quasidihedral order must be a power of 2 in"
                          f" 16..{MAX_ORDER}, got {two_k}")
-    return _metacyclic(two_k // 2, two_k // 4 - 1, 0, f"SD{two_k}")
+    n = two_k // 2  # s r s = r^(n/2 - 1) on C_n
+    beta = [(n // 2 - 1) * x % n for x in range(n)]
+    return cyclic_extension(make_cyclic(n), 2, beta, 0, f"SD{two_k}")
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -400,7 +381,7 @@ def from_permutations(gens: Sequence[Sequence[int]],
 
 
 # ---------------------------------------------------------------------------
-# automorphism actions and semidirect products
+# automorphism actions, semidirect products and cyclic extensions
 #
 # An action of H on N is a tuple of image tuples: action[k] is the
 # automorphism of N by which element k of H acts.
@@ -481,27 +462,72 @@ def semidirect_product(n: GroupTable, h: GroupTable,
                                  f" -> Aut({n.name}): {err}") from None
 
 
+def cyclic_extension(h: GroupTable, p: int, beta: Sequence[int], h0: int,
+                     name: str = "G") -> GroupTable:
+    """The extension of H by t with x t = t beta(x) and t^p = h0.
+
+    ``beta`` is the image tuple of a bijection of H.  Element t^k x, k < p,
+    is at index k*|h| + x, and x t^j = t^j beta^j(x) gives
+    (t^i x)(t^j y) = t^((i+j) mod p) [h0 if i+j >= p] beta^j(x) y: row
+    (i, x) joins p rows of H shifted by cosets, as ``_semidirect_rows``.
+
+    For p >= 2 the table check accepts exactly when beta is an
+    automorphism, beta(h0) = h0 and beta^p(x) = h0^-1 x h0 for every x.
+    Necessary, as t^k is at k*|h|: t beta(xy) = xyt = t beta(x) beta(y),
+    t beta(h0) = h0 t = t^(p+1) = t h0 and h0 beta^p(x) = x t^p = x h0.
+    Sufficient: in H x| Z with tau^-1 x tau = beta(x), z = tau^p h0^-1 is
+    central and <z> meets H trivially, so H x| Z / <z> is this table
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005).  For p = 1 the table is that of H.
+    """
+    nh = h.order
+    if p < 1 or p * nh > MAX_ORDER:
+        raise ValueError(f"extension order {p * nh} is not in 1..{MAX_ORDER}")
+    if sorted(beta) != list(range(nh)):
+        raise InvalidActionError(f"beta is not a bijection of 0..{nh - 1}")
+    if not 0 <= h0 < nh:
+        raise InvalidActionError(f"h0 = {h0} is not an element of {h.name}")
+    powers = [bytes(range(nh))]  # beta^j for j < p
+    for _ in range(1, p):
+        powers.append(bytes(beta[x] for x in powers[-1]))
+    wrap = h.product[h0] + bytes(256 - nh)
+    blocks = [[_shifted(row, k * nh) for row in h.product] for k in range(p)]
+    rows = []
+    for i in range(p):
+        parts = [(blocks[(i + j) % p], bj.translate(wrap) if i + j >= p
+                  else bj) for j, bj in enumerate(powers)]
+        rows += [b"".join([shifted[c[x]] for shifted, c in parts])
+                 for x in range(nh)]
+    try:
+        return GroupTable(rows, name=name)
+    except GroupConstructionError as err:
+        raise InvalidActionError(f"beta and h0 = {h0} do not give an"
+                                 f" extension of {h.name}: {err}") from None
+
+
 def _semidirect_rows(n: GroupTable, h: GroupTable,
                      maps: Sequence[Sequence[int]]) -> list[bytes]:
     """The rows of N x| H under f_k = maps[k] for k < |h|, with (x, k) at
     index x*|h| + k and (x1,k1)(x2,k2) = (x1*f_k1(x2), k1*k2).
 
-    Row (x1, k1) is |n| blocks, block x2 being row k1 of h plus v*|h| for
-    v = x1*f_k1(x2).  Each such block is made once per (k1, v), by
-    translating row k1 through the window at v*|h| of a doubled identity;
-    f_k1 translated through row x1 gives every v of the row at once, so a
-    row is one translate and one join.  ``semidirect_rows_oracle`` in the
-    tests keeps the per-cell loop.
+    Row (x1, k1) is |n| blocks, block x2 being row k1 of h shifted by
+    v*|h| for v = x1*f_k1(x2).  Each such block is made once per (k1, v)
+    by ``_shifted``; f_k1 translated through row x1 gives every v of the
+    row at once, so a row is one translate and one join.
+    ``semidirect_rows_oracle`` in the tests keeps the per-cell loop.
     """
     order = n.order * h.order
     if order > MAX_ORDER:
         raise ValueError(f"product order {order} exceeds {MAX_ORDER}")
     nh = h.order
-    shift = bytes(range(256)) * 2
-    acts = [(bytes(maps[k]),
-             [hrow.translate(shift[v * nh:v * nh + 256])
-              for v in range(n.order)])
+    acts = [(bytes(maps[k]), [_shifted(hrow, v * nh) for v in range(n.order)])
             for k, hrow in enumerate(h.product)]
     pad = bytes(256 - n.order)
     return [b"".join(map(blocks.__getitem__, act.translate(nrow + pad)))
             for nrow in n.product for act, blocks in acts]
+
+
+def _shifted(row: bytes, offset: int) -> bytes:
+    """Row with offset added to every entry, all sums below 256: one
+    translate through the window at offset of a doubled identity."""
+    return row.translate(_DOUBLED[offset:offset + 256])

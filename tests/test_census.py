@@ -260,7 +260,13 @@ def count_solutions_oracle(g, n):
     """count_solutions before it read element_orders(): the power loop."""
     if n < 1:
         raise ValueError(f"exponent must be positive, got {n}")
-    return sum(1 for x in range(g.order) if g.power(x, n) == 0)
+    solutions = 0
+    for x in range(g.order):
+        acc = 0
+        for _ in range(n):
+            acc = g.product[x][acc]
+        solutions += acc == 0
+    return solutions
 
 
 def test_count_solutions_matches_power_loop(catalog, claim_tables,

@@ -160,6 +160,17 @@ def test_catalog_max_order_bounds_the_window():
     assert text.endswith("\n1 groups\n")
 
 
+def test_catalog_huge_sigma_entry_is_quick():
+    # an entry past --max-order empties the window before any totient;
+    # computing its totient by trial division takes well over 10 s
+    start = time.perf_counter()
+    child = run_python("-m", "groupcensus", "catalog", "--sigma",
+                       "99999999999999999999999999", timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (child.returncode, child.stdout, child.stderr) == (0, b"0 groups\n",
+                                                              b"")
+
+
 def test_catalog_sigma_entries_must_exceed_2(capsys):
     code, text = run_cli("catalog", "--sigma", "2")
     assert (code, text) == (2, "")
@@ -347,11 +358,11 @@ def test_closed_stdout_exits_1_without_traceback():
     assert stderr == b""
 
 
-def run_python(*args):
+def run_python(*args, timeout=60):
     """A child interpreter on this process's import path, output captured."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          timeout=60, env=env)
+                          timeout=timeout, env=env)
 
 
 @pytest.mark.parametrize("argv", [

@@ -393,6 +393,19 @@ def test_windows_stay_under_max_order(max_order):
             assert all(n <= max_order for n in orders), cand.signature
 
 
+def test_entry_past_max_order_empties_the_window(monkeypatch):
+    # Lagrange puts such a signature past every order <= max_order, so the
+    # window is empty before any totient: trial division of 10**14 + 31
+    # alone took most of a second
+    def no_totient(d):
+        raise AssertionError(f"totient of {d} computed")
+
+    monkeypatch.setattr(exclusion, "_phi", no_totient)
+    assert admissible_orders((10**14 + 31,), 24) == []
+    assert admissible_orders((3, 25), 24) == []
+    assert admissible_orders((3, 10**26 - 1), 64) == []
+
+
 # the windows of the delta <= 5 survivors, from the five conditions
 PINNED_WINDOWS = {
     (3,): [3, 6], (4,): [4, 8],

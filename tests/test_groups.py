@@ -13,8 +13,8 @@ from test_census import cyclic_subgroups
 
 from groupcensus import (MAX_ORDER, GroupConstructionError, GroupTable,
                          InvalidActionError, action_from_generator_images,
-                         census, direct_product, from_permutations,
-                         generated_subgroup, generating_set,
+                         census, cyclic_extension, direct_product,
+                         from_permutations, generated_subgroup, generating_set,
                          inversion_action, is_isomorphic, make_alternating,
                          make_cyclic, make_dicyclic, make_dihedral,
                          make_quasidihedral, make_symmetric, parse_generators,
@@ -632,6 +632,130 @@ def test_action_from_generator_images_rejects_non_generators():
     with pytest.raises(InvalidActionError, match="only reach"):
         action_from_generator_images(make_cyclic(4), make_cyclic(3),
                                      {2: (0, 2, 1)})
+
+
+# ---------------------------------------------------------------------------
+# cyclic extensions
+
+
+def metacyclic_oracle(n: int, t: int, z: int, name: str) -> GroupTable:
+    """<r, s | r^n = 1, s^2 = r^z, s r s^-1 = r^t> of order 2n, where
+    t^2 = 1 and t*z = z modulo n.
+
+    Indices: r^i -> i, s r^i -> n + i, so r^i s = s r^(t*i).
+    """
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][j] = (i + j) % n
+            rows[i][n + j] = n + (t * i + j) % n
+            rows[n + i][j] = n + (i + j) % n
+            rows[n + i][n + j] = (z + t * i + j) % n
+    return GroupTable(rows, name=name)
+
+
+def test_families_match_metacyclic_oracle():
+    tables = ([(make_dihedral(k), metacyclic_oracle(k // 2, -1, 0, f"D{k}"))
+               for k in range(2, MAX_ORDER + 1, 2)]
+              + [(make_dicyclic(k),
+                  metacyclic_oracle(k // 2, -1, k // 4, f"Q{k}"))
+                 for k in range(8, MAX_ORDER + 1, 4)]
+              + [(make_quasidihedral(k),
+                  metacyclic_oracle(k // 2, k // 4 - 1, 0, f"SD{k}"))
+                 for k in (16, 32, 64)])
+    assert len(tables) == 32 + 15 + 3
+    for built, oracle in tables:
+        assert built.product == oracle.product, built.name
+        assert built.name == oracle.name
+
+
+def extension_conditions(h, p, beta, h0):
+    """beta an automorphism, beta(h0) = h0 and beta^p(x) = h0^-1 x h0,
+    each checked on every element or pair."""
+    prod = h.product
+    points = range(h.order)
+    if any(beta[prod[x][y]] != prod[beta[x]][beta[y]]
+           for x in points for y in points):
+        return False
+    if beta[h0] != h0:
+        return False
+    for x in points:
+        image = x
+        for _ in range(p):
+            image = beta[image]
+        if image != prod[prod[h.inverse[h0]][x]][h0]:
+            return False
+    return True
+
+
+def extension_rows_oracle(h, p, beta, h0):
+    """(t^i x)(t^j y) = t^((i+j) mod p) [h0 if i+j >= p] beta^j(x) y, with
+    t^k x at index k*|h| + x, filled one cell at a time."""
+    nh = h.order
+    rows = []
+    for i in range(p):
+        for x in range(nh):
+            row = []
+            for j in range(p):
+                c = x
+                for _ in range(j):
+                    c = beta[c]
+                if i + j >= p:
+                    c = h.product[h0][c]
+                row += [(i + j) % p * nh + h.product[c][y] for y in range(nh)]
+            rows.append(bytes(row))
+    return tuple(rows)
+
+
+def test_cyclic_extension_matches_conditions_on_every_tuple():
+    # every bijection beta and every h0 of seven small H for p = 2, 3, 4:
+    # the builder accepts exactly the tuples that meet the three
+    # conditions, and builds the oracle's rows
+    bases = [make_cyclic(1), make_cyclic(2), make_cyclic(3), make_cyclic(4),
+             direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(5),
+             make_symmetric(3)]
+    tuples = valid = 0
+    for h in bases:
+        bijections = list(itertools.permutations(range(h.order)))
+        for p in (2, 3, 4):
+            for beta in bijections:
+                for h0 in range(h.order):
+                    tuples += 1
+                    try:
+                        g = cyclic_extension(h, p, beta, h0)
+                    except InvalidActionError:
+                        assert not extension_conditions(h, p, beta, h0), \
+                            (h.name, p, beta, h0)
+                        continue
+                    assert extension_conditions(h, p, beta, h0), \
+                        (h.name, p, beta, h0)
+                    assert g.product == extension_rows_oracle(h, p, beta, h0)
+                    valid += 1
+    assert (tuples, valid) == (15405, 99)
+
+
+def test_cyclic_extension_q8_and_rejections():
+    c4 = make_cyclic(4)
+    # Q8 is C4 extended by t with t r = r^-1 t and t^2 = r^2
+    assert cyclic_extension(c4, 2, c4.inverse, 2).product == \
+        make_dicyclic(8).product
+    # beta(1) = 3 != 1: inversion does not fix h0 = r
+    with pytest.raises(InvalidActionError, match="extension of C4"):
+        cyclic_extension(c4, 2, c4.inverse, 1)
+    with pytest.raises(InvalidActionError, match="bijection"):
+        cyclic_extension(c4, 2, (0, 2, 0, 2), 0)
+    with pytest.raises(InvalidActionError, match="not an element"):
+        cyclic_extension(c4, 2, c4.inverse, 4)
+    with pytest.raises(ValueError, match="extension order 66"):
+        cyclic_extension(make_cyclic(33), 2, make_cyclic(33).inverse, 0)
+    with pytest.raises(ValueError, match="extension order 0"):
+        cyclic_extension(c4, 0, c4.inverse, 0)
+
+
+def test_cyclic_extension_of_index_1_is_h():
+    s3 = make_symmetric(3)
+    g = cyclic_extension(s3, 1, (1, 0, 2, 3, 4, 5), 3, name="S3")
+    assert (g.product, g.name) == (s3.product, "S3")
 
 
 # ---------------------------------------------------------------------------

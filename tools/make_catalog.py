@@ -34,8 +34,9 @@ OUT = ROOT / "src/groupcensus/data/groups_le24.txt"
 
 def cyclic_power_action(normal: GroupTable, acting: GroupTable,
                         image_of_generator: int):
-    """Action of a cyclic group whose generator (index 1) maps x -> x^k."""
-    perm = tuple(normal.power(x, image_of_generator)
+    """Action of a cyclic group whose generator (index 1) maps x -> x^k on
+    ``make_cyclic(m)``, whose element x is r^x, so x^k is k*x mod m."""
+    perm = tuple(image_of_generator * x % normal.order
                  for x in range(normal.order))
     return action_from_generator_images(acting, normal, {1: perm})
 
