@@ -19,12 +19,10 @@ from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, RULES,
                         Verdict, apply_rules, revised_table)
 from .expressions import GroupExpressionError, parse_group
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
-                     MAX_ORDER, action_from_generator_images,
-                     cyclic_extension, direct_product, from_permutations,
-                     generated_subgroup, inversion_action, make_alternating,
+                     MAX_ORDER, cyclic_extension, direct_product,
+                     from_permutations, generated_subgroup, make_alternating,
                      make_cyclic, make_dicyclic, make_dihedral,
-                     make_quasidihedral, make_symmetric, parse_generators,
-                     semidirect_product)
+                     make_quasidihedral, make_symmetric, parse_generators)
 from .isomorphism import (conjugacy_classes, derived_subgroup,
                           extend_generator_map, generating_set,
                           is_isomorphic, isomorphism_classes)
@@ -41,18 +39,15 @@ __all__ = [
     "ExclusionRule", "GroupConstructionError", "GroupExpressionError",
     "GroupRecipe", "GroupTable", "InvalidActionError", "MAX_CATALOG_ORDER",
     "MAX_ORDER", "RECORDED_JUSTIFICATIONS", "RULES", "SurvivorReport",
-    "TheoremClaim", "VerificationReport", "Verdict",
-    "action_from_generator_images", "apply_rules", "catalog_search",
-    "catalog_tables", "catalog_validate", "census",
+    "TheoremClaim", "VerificationReport", "Verdict", "apply_rules",
+    "catalog_search", "catalog_tables", "catalog_validate", "census",
     "conjugacy_classes", "count_solutions", "cyclic_extension",
-    "derived_subgroup", "direct_product",
-    "enumerate_candidates", "euler_phi", "explore",
-    "extend_generator_map", "from_permutations", "generated_subgroup",
-    "generating_set", "integer_partitions", "inversion_action",
+    "derived_subgroup", "direct_product", "enumerate_candidates",
+    "euler_phi", "explore", "extend_generator_map", "from_permutations",
+    "generated_subgroup", "generating_set", "integer_partitions",
     "is_isomorphic", "isomorphism_classes", "known_groups_for",
     "load_catalog", "make_alternating", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quasidihedral", "make_symmetric",
     "parse_generators", "parse_group", "phi_inverse", "property_suite",
-    "revised_table", "semidirect_product",
-    "theorem_claims", "verify_all", "verify_theorem",
+    "revised_table", "theorem_claims", "verify_all", "verify_theorem",
 ]

@@ -7,9 +7,9 @@ Grammar::
            | 'sd' '(' expr ',' expr ',' 'inv' ')'
            | 'perm' '[' cycles ( ';' cycles )* ']'
 
-``sd(n, h, inv)`` is the semidirect product by the inversion action, so its
-first argument must be abelian; ``perm[...]`` closes a list of permutations
-in 0-based cycle notation.
+``sd(n, h, inv)`` is the semidirect product in which h, of order 2, acts
+by inversion, so its first argument must be abelian; ``perm[...]`` closes a
+list of permutations in 0-based cycle notation.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 import re
 from typing import Callable, TypeVar
 
-from .groups import (MAX_ORDER, GroupTable, direct_product,
-                     from_permutations, inversion_action, make_alternating,
+from .groups import (MAX_ORDER, GroupTable, cyclic_extension,
+                     direct_product, from_permutations, make_alternating,
                      make_cyclic, make_dicyclic, make_dihedral,
-                     make_quasidihedral, make_symmetric, parse_generators,
-                     semidirect_product)
+                     make_quasidihedral, make_symmetric, parse_generators)
 
 
 class GroupExpressionError(ValueError):
@@ -121,8 +120,8 @@ class _Parser:
                 f"inversion action needs an abelian base, {normal.name} is not")
         if acting.order != 2:
             raise self.error("the inversion action is an action of C2")
-        return self.build(semidirect_product, normal, acting,
-                          inversion_action(normal))
+        return self.build(cyclic_extension, normal, 2, normal.inverse, 0,
+                          f"({normal.name}):{acting.name}")
 
     def parse_perm(self) -> GroupTable:
         self.expect("perm[")

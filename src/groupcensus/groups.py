@@ -4,9 +4,8 @@ A group of order n lives on the element indices 0..n-1, with 0 always the
 identity.  Rows of the table are stored as ``bytes`` (indices fit in 8 bits
 since the supported order is capped at 64).  Every table is checked against
 the group axioms at construction (rows, identity, associativity; columns
-follow), the one validity check for every built table, semidirect actions
-and cyclic extensions included: cheap at these sizes, and construction bugs
-fail at once.
+follow), the one validity check for every built table, cyclic extensions
+included: cheap at these sizes, and construction bugs fail at once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ class GroupConstructionError(ValueError):
 
 
 class InvalidActionError(ValueError):
-    """A proposed automorphism action fails one of its invariants."""
+    """A proposed extension automorphism, or t^p, gives no group."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +314,19 @@ def make_alternating(n: int) -> GroupTable:
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Componentwise product on pairs, encoded as index(x, y) = x*|b| + y:
-    the rows of ``semidirect_product`` with every map the identity."""
-    ident = tuple(range(a.order))
-    return GroupTable(_semidirect_rows(a, b, (ident,) * b.order),
+    """Componentwise product on pairs, (x, y) at index x*|b| + y.
+
+    Row (x1, y1) is |a| blocks, block x2 being row y1 of b shifted by
+    (x1*x2)*|b|.  ``_shifted`` makes each shifted row once, and row x1 of
+    a names the blocks of row (x1, y1) in order, so a row is one join.
+    ``direct_rows_oracle`` in the tests keeps the per-cell loop.
+    """
+    nb = b.order
+    _check_order(a.order * nb)
+    blocks = [[_shifted(brow, v * nb) for v in range(a.order)]
+              for brow in b.product]
+    return GroupTable([b"".join(map(shifted.__getitem__, arow))
+                       for arow in a.product for shifted in blocks],
                       name=f"{a.name}x{b.name}")
 
 
@@ -381,85 +389,11 @@ def from_permutations(gens: Sequence[Sequence[int]],
 
 
 # ---------------------------------------------------------------------------
-# automorphism actions, semidirect products and cyclic extensions
+# cyclic extensions
 #
-# An action of H on N is a tuple of image tuples: action[k] is the
-# automorphism of N by which element k of H acts.
-
-
-def inversion_action(a: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """The C2-action on an abelian group sending every element to its inverse."""
-    if not a.is_abelian:
-        raise InvalidActionError(
-            f"inversion is not an automorphism of the nonabelian group {a.name}")
-    return tuple(range(a.order)), tuple(a.inverse)
-
-
-def action_from_generator_images(acting: GroupTable, target: GroupTable,
-                                 images: dict[int, Sequence[int]],
-                                 ) -> tuple[tuple[int, ...], ...]:
-    """Extend automorphism images of generators of the acting group.
-
-    ``images`` assigns an image tuple on the target's elements to each
-    generator; the rest of the action is forced by the homomorphism
-    property.  Raises if the given elements do not generate the acting
-    group or the assignment is inconsistent; the table check of
-    ``semidirect_product`` decides whether every map is an automorphism.
-    """
-    degree = target.order
-    maps = {0: tuple(range(degree))}
-    for k, p in images.items():
-        if len(p) != degree:
-            raise InvalidActionError(
-                f"image for generator {k} has degree {len(p)}, expected {degree}")
-    frontier = [0]
-    while frontier:
-        h = frontier.pop()
-        for k, p in images.items():
-            hk = acting.product[h][k]
-            composed = tuple(maps[h][i] for i in p)
-            if hk in maps:
-                if maps[hk] != composed:
-                    raise InvalidActionError(
-                        f"generator images are inconsistent at element {hk}")
-            else:
-                maps[hk] = composed
-                frontier.append(hk)
-    if len(maps) != acting.order:
-        raise InvalidActionError(
-            f"given generators only reach {len(maps)} of"
-            f" {acting.order} acting elements")
-    return tuple(maps[h] for h in range(acting.order))
-
-
-def semidirect_product(n: GroupTable, h: GroupTable,
-                       action: Sequence[Sequence[int]]) -> GroupTable:
-    """Semidirect product N x| H with (x1,k1)(x2,k2) = (x1*f_k1(x2), k1*k2).
-
-    ``action[k]`` is the image tuple of the bijection f_k of N by which
-    element k of H acts.  Pairs are encoded as index(x, k) = x*|h| + k, so
-    a trivial action reproduces ``direct_product(n, h)`` exactly.
-
-    The table check decides the rest: the table is a group exactly when
-    k -> f_k is a homomorphism H -> Aut(N).  (0,0) is a two-sided identity
-    exactly when f_0 = id and every f_k fixes 0.  Associativity, on first
-    components, says f_k1(x2*f_k2(x3)) = f_k1(x2)*f_k1k2(x3) for all
-    arguments: x2 = 0 gives f_k1 o f_k2 = f_k1k2, k2 = 0 gives
-    f_k1(x2*x3) = f_k1(x2)*f_k1(x3), and these two give it back.
-    """
-    maps = tuple(tuple(m) for m in action)
-    if len(maps) != h.order:
-        raise InvalidActionError(f"expected {h.order} maps, got {len(maps)}")
-    for k, img in enumerate(maps):
-        if sorted(img) != list(range(n.order)):
-            raise InvalidActionError(
-                f"map for element {k} is not a bijection of 0..{n.order - 1}")
-    rows = _semidirect_rows(n, h, maps)
-    try:
-        return GroupTable(rows, name=f"({n.name}):{h.name}")
-    except GroupConstructionError as err:
-        raise InvalidActionError(f"the maps are not a homomorphism {h.name}"
-                                 f" -> Aut({n.name}): {err}") from None
+# Every extension is of H by one element t acting through an automorphism
+# beta of H, given as its image tuple.  A split extension, a semidirect
+# product H:C_p, is the case t^p = 1.
 
 
 def cyclic_extension(h: GroupTable, p: int, beta: Sequence[int], h0: int,
@@ -469,7 +403,10 @@ def cyclic_extension(h: GroupTable, p: int, beta: Sequence[int], h0: int,
     ``beta`` is the image tuple of a bijection of H.  Element t^k x, k < p,
     is at index k*|h| + x, and x t^j = t^j beta^j(x) gives
     (t^i x)(t^j y) = t^((i+j) mod p) [h0 if i+j >= p] beta^j(x) y: row
-    (i, x) joins p rows of H shifted by cosets, as ``_semidirect_rows``.
+    (i, x) joins p rows of H shifted by cosets, as in ``direct_product``.
+    With h0 = 0 this is the semidirect product H:C_p in which the
+    generator of C_p acts by beta, and with beta the identity as well it
+    is ``direct_product(make_cyclic(p), h)``, row for row.
 
     For p >= 2 the table check accepts exactly when beta is an
     automorphism, beta(h0) = h0 and beta^p(x) = h0^-1 x h0 for every x.
@@ -481,8 +418,9 @@ def cyclic_extension(h: GroupTable, p: int, beta: Sequence[int], h0: int,
     2005).  For p = 1 the table is that of H.
     """
     nh = h.order
-    if p < 1 or p * nh > MAX_ORDER:
-        raise ValueError(f"extension order {p * nh} is not in 1..{MAX_ORDER}")
+    if p < 1:
+        raise ValueError(f"extension index p = {p} is not positive")
+    _check_order(p * nh)
     if sorted(beta) != list(range(nh)):
         raise InvalidActionError(f"beta is not a bijection of 0..{nh - 1}")
     if not 0 <= h0 < nh:
@@ -505,26 +443,10 @@ def cyclic_extension(h: GroupTable, p: int, beta: Sequence[int], h0: int,
                                  f" extension of {h.name}: {err}") from None
 
 
-def _semidirect_rows(n: GroupTable, h: GroupTable,
-                     maps: Sequence[Sequence[int]]) -> list[bytes]:
-    """The rows of N x| H under f_k = maps[k] for k < |h|, with (x, k) at
-    index x*|h| + k and (x1,k1)(x2,k2) = (x1*f_k1(x2), k1*k2).
-
-    Row (x1, k1) is |n| blocks, block x2 being row k1 of h shifted by
-    v*|h| for v = x1*f_k1(x2).  Each such block is made once per (k1, v)
-    by ``_shifted``; f_k1 translated through row x1 gives every v of the
-    row at once, so a row is one translate and one join.
-    ``semidirect_rows_oracle`` in the tests keeps the per-cell loop.
-    """
-    order = n.order * h.order
+def _check_order(order: int) -> None:
+    """The over-order error that both product builders raise."""
     if order > MAX_ORDER:
         raise ValueError(f"product order {order} exceeds {MAX_ORDER}")
-    nh = h.order
-    acts = [(bytes(maps[k]), [_shifted(hrow, v * nh) for v in range(n.order)])
-            for k, hrow in enumerate(h.product)]
-    pad = bytes(256 - n.order)
-    return [b"".join(map(blocks.__getitem__, act.translate(nrow + pad)))
-            for nrow in n.product for act, blocks in acts]
 
 
 def _shifted(row: bytes, offset: int) -> bytes:

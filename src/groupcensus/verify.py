@@ -18,11 +18,10 @@ from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
                       catalog_validate)
 from .census import CensusReport, census, count_solutions, euler_phi
 from .exclusion import admissible_orders, revised_table
-from .groups import (GroupTable, InvalidActionError,
-                     action_from_generator_images, direct_product,
-                     generated_subgroup, inversion_action, make_alternating,
+from .groups import (GroupTable, InvalidActionError, cyclic_extension,
+                     direct_product, generated_subgroup, make_alternating,
                      make_cyclic, make_dicyclic, make_dihedral,
-                     make_quasidihedral, make_symmetric, semidirect_product)
+                     make_quasidihedral, make_symmetric)
 from .isomorphism import extend_generator_map, isomorphism_classes
 from .report import CheckResult, ClaimResult, VerificationReport
 
@@ -45,10 +44,8 @@ class TheoremClaim(NamedTuple):
 def _klein_by_c4() -> GroupTable:
     # <a, b, c | a^2 = b^2 = c^4 = 1, ab = ba, ca = ac, c b c^-1 = ab>
     klein = direct_product(make_cyclic(2), make_cyclic(2))
-    # klein indices: 1 = b, 2 = a, 3 = ab; the acting c fixes a, b -> ab
-    action = action_from_generator_images(
-        make_cyclic(4), klein, {1: (0, 3, 2, 1)})
-    return semidirect_product(klein, make_cyclic(4), action).renamed("(C2xC2):C4")
+    # klein indices: 1 = b, 2 = a, 3 = ab; c fixes a, b -> ab
+    return cyclic_extension(klein, 4, (0, 3, 2, 1), 0, "(C2xC2):C4")
 
 
 def _q8_by_c2() -> GroupTable:
@@ -60,15 +57,12 @@ def _q8_by_c2() -> GroupTable:
     if images is None:
         raise InvalidActionError(
             "a -> a, b -> a^2 b does not extend to an automorphism of Q8")
-    action = action_from_generator_images(
-        make_cyclic(2), q8, {1: images})
-    return semidirect_product(q8, make_cyclic(2), action).renamed("Q8:C2")
+    return cyclic_extension(q8, 2, images, 0, "Q8:C2")
 
 
 def _c3c3_by_inversion() -> GroupTable:
     c3c3 = direct_product(make_cyclic(3), make_cyclic(3))
-    return semidirect_product(
-        c3c3, make_cyclic(2), inversion_action(c3c3)).renamed("(C3xC3):C2")
+    return cyclic_extension(c3c3, 2, c3c3.inverse, 0, "(C3xC3):C2")
 
 
 def _recipe(label: str, build: Callable[[], GroupTable],

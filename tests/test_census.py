@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from groupcensus import (CensusReport, census, count_solutions,
                          direct_product, euler_phi, make_cyclic, make_dicyclic,
-                         make_dihedral, make_quasidihedral, make_symmetric,
+                         make_dihedral, make_symmetric, parse_group,
                          phi_inverse, theorem_claims)
 
 
@@ -152,13 +152,12 @@ def test_census_known_reports():
     assert s4.delta == 7 and s4.total_cyclic == 17
 
 
-@pytest.mark.parametrize("g", [
-    make_cyclic(24), make_dihedral(20), make_dicyclic(16),
-    make_symmetric(4), direct_product(make_dihedral(8), make_cyclic(2)),
-    make_cyclic(64), make_dihedral(64), make_dicyclic(64),
-    make_quasidihedral(64),
-], ids=lambda g: g.name)
-def test_census_matches_histogram_oracle(g):
+# names, built inside the test: a table built at import would turn a
+# constructor defect into a collection error of every module importing this
+@pytest.mark.parametrize("name", ["C24", "D20", "Q16", "S4", "D8xC2", "C64",
+                                  "D64", "Q64", "SD64"])
+def test_census_matches_histogram_oracle(name):
+    g = parse_group(name)
     report = census(g)
     assert dict(report.n_d) == census_oracle(g)
 

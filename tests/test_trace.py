@@ -35,7 +35,7 @@ def test_traced_verify_reports_every_layer(capsys):
     assert maxima["catalog.entries"] == 74
     # each dihedral, dicyclic and quasidihedral build validates its cyclic
     # base as well as the extension
-    assert sums["groups.tables"] == 181
+    assert sums["groups.tables"] == 176
     assert sums["isomorphism.calls"] == sums["isomorphism.iso_pairs"] == 32
     for layer in ("groups.build_s", "catalog.load_s", "catalog.validate_s"):
         assert sums[layer] > 0, layer

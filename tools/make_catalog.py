@@ -21,24 +21,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from groupcensus import (GroupTable, InvalidActionError,  # noqa: E402
-                         action_from_generator_images, direct_product,
+                         cyclic_extension, direct_product,
                          extend_generator_map, from_permutations,
-                         generating_set,
-                         inversion_action, make_alternating, make_cyclic,
+                         generating_set, make_alternating, make_cyclic,
                          make_dicyclic, make_dihedral, make_quasidihedral,
-                         make_symmetric, semidirect_product)
-from groupcensus.verify import _klein_by_c4, _q8_by_c2  # noqa: E402
+                         make_symmetric)
+from groupcensus.verify import (_c3c3_by_inversion, _klein_by_c4,  # noqa: E402
+                                _q8_by_c2)
 
 OUT = ROOT / "src/groupcensus/data/groups_le24.txt"
 
 
-def cyclic_power_action(normal: GroupTable, acting: GroupTable,
-                        image_of_generator: int):
-    """Action of a cyclic group whose generator (index 1) maps x -> x^k on
-    ``make_cyclic(m)``, whose element x is r^x, so x^k is k*x mod m."""
-    perm = tuple(image_of_generator * x % normal.order
-                 for x in range(normal.order))
-    return action_from_generator_images(acting, normal, {1: perm})
+def cyclic_by_power(m: int, p: int, k: int) -> GroupTable:
+    """C_m : C_p, the generator of C_p acting on ``make_cyclic(m)``, whose
+    element x is r^x, by x -> x^k, that is x -> k*x mod m."""
+    beta = [k * x % m for x in range(m)]
+    return cyclic_extension(make_cyclic(m), p, beta, 0)
 
 
 def abelian(*orders: int) -> GroupTable:
@@ -48,68 +46,31 @@ def abelian(*orders: int) -> GroupTable:
     return table
 
 
-def sd_inv(normal: GroupTable, acting: GroupTable) -> GroupTable:
-    return semidirect_product(normal, acting, inversion_action(normal))
-
-
-def c3xc3_by_inv() -> GroupTable:
-    return sd_inv(abelian(3, 3), make_cyclic(2))
-
-
-def m16() -> GroupTable:
-    # modular group of order 16: C8 : C2 with r -> r^5
-    c8 = make_cyclic(8)
-    return semidirect_product(c8, make_cyclic(2),
-                              cyclic_power_action(c8, make_cyclic(2), 5))
-
-
-def c4_by_c4() -> GroupTable:
-    # C4 : C4, the generator of the acting C4 inverting the normal C4
-    c4 = make_cyclic(4)
-    return semidirect_product(c4, make_cyclic(4),
-                              cyclic_power_action(c4, make_cyclic(4), 3))
-
-
-def f20() -> GroupTable:
-    # Frobenius group C5 : C4 via the faithful action a -> a^2
-    c5 = make_cyclic(5)
-    return semidirect_product(c5, make_cyclic(4),
-                              cyclic_power_action(c5, make_cyclic(4), 2))
-
-
-def c7_by_c3() -> GroupTable:
-    c7 = make_cyclic(7)
-    return semidirect_product(c7, make_cyclic(3),
-                              cyclic_power_action(c7, make_cyclic(3), 2))
-
-
-def c3_by_c8() -> GroupTable:
-    c3 = make_cyclic(3)
-    return semidirect_product(c3, make_cyclic(8),
-                              cyclic_power_action(c3, make_cyclic(8), 2))
+def automorphism(g: GroupTable, images: dict[int, int], text: str):
+    """The automorphism of g with the given generator images, as an image
+    tuple; ``text`` names it if the images do not extend."""
+    beta = extend_generator_map(g, g, images)
+    if beta is None:
+        raise InvalidActionError(f"{text} does not extend to an automorphism"
+                                 f" of {g.name}")
+    return beta
 
 
 def sl23() -> GroupTable:
     # SL(2,3) = Q8 : C3, the acting 3-cycle permuting i, j, k
     q8 = make_dicyclic(8)
     # q8 indices: a = 1, b = 4, ab = 5; the automorphism a -> b -> ab -> a
-    images = extend_generator_map(q8, q8, {1: 4, 4: 5})
-    if images is None:
-        raise InvalidActionError(
-            "a -> b, b -> ab does not extend to an automorphism of Q8")
-    action = action_from_generator_images(
-        make_cyclic(3), q8, {1: images})
-    return semidirect_product(q8, make_cyclic(3), action)
+    return cyclic_extension(q8, 3, automorphism(q8, {1: 4, 4: 5},
+                                                "a -> b, b -> ab"), 0)
 
 
 def c3_by_d8() -> GroupTable:
-    # C3 : D8 where the rotation inverts and the reflection fixes C3
-    c3 = make_cyclic(3)
-    d8 = make_dihedral(8)
-    # d8 indices: r = 1, s = 4
-    action = action_from_generator_images(
-        d8, c3, {1: tuple(c3.inverse), 4: (0, 1, 2)})
-    return semidirect_product(c3, d8, action)
+    # C3 : D8 = (C3 : C4) : C2, the acting involution fixing a and
+    # inverting b in Q12 = <a, b | a^6 = 1, b^2 = a^3, b a b^-1 = a^-1>
+    q12 = make_dicyclic(12)
+    # q12 indices: a = 1, b = 6
+    return cyclic_extension(q12, 2, automorphism(
+        q12, {1: 1, 6: q12.inverse[6]}, "a -> a, b -> b^-1"), 0)
 
 
 GROUPS: list[tuple[int, str, object]] = [
@@ -149,26 +110,26 @@ GROUPS: list[tuple[int, str, object]] = [
     (16, "D16", lambda: make_dihedral(16)),
     (16, "SD16", lambda: make_quasidihedral(16)),
     (16, "Q16", lambda: make_dicyclic(16)),
-    (16, "M16", m16),
+    (16, "M16", lambda: cyclic_by_power(8, 2, 5)),
     (16, "D8xC2", lambda: direct_product(make_dihedral(8), make_cyclic(2))),
     (16, "Q8xC2", lambda: direct_product(make_dicyclic(8), make_cyclic(2))),
     (16, "(C2xC2):C4", _klein_by_c4),
-    (16, "C4:C4", c4_by_c4),
+    (16, "C4:C4", lambda: cyclic_by_power(4, 4, 3)),
     (16, "Q8:C2", _q8_by_c2),
     (17, "C17", lambda: make_cyclic(17)),
     (18, "C18", lambda: make_cyclic(18)),
     (18, "C3xC6", lambda: abelian(3, 6)),
     (18, "D18", lambda: make_dihedral(18)),
     (18, "C3xS3", lambda: direct_product(make_cyclic(3), make_symmetric(3))),
-    (18, "(C3xC3):C2", c3xc3_by_inv),
+    (18, "(C3xC3):C2", _c3c3_by_inversion),
     (19, "C19", lambda: make_cyclic(19)),
     (20, "C20", lambda: make_cyclic(20)),
     (20, "C10xC2", lambda: abelian(10, 2)),
     (20, "D20", lambda: make_dihedral(20)),
     (20, "Q20", lambda: make_dicyclic(20)),
-    (20, "C5:C4", f20),
+    (20, "C5:C4", lambda: cyclic_by_power(5, 4, 2)),
     (21, "C21", lambda: make_cyclic(21)),
-    (21, "C7:C3", c7_by_c3),
+    (21, "C7:C3", lambda: cyclic_by_power(7, 3, 2)),
     (22, "C22", lambda: make_cyclic(22)),
     (22, "D22", lambda: make_dihedral(22)),
     (23, "C23", lambda: make_cyclic(23)),
@@ -180,7 +141,7 @@ GROUPS: list[tuple[int, str, object]] = [
     (24, "S4", lambda: make_symmetric(4)),
     (24, "A4xC2", lambda: direct_product(make_alternating(4), make_cyclic(2))),
     (24, "SL(2,3)", sl23),
-    (24, "C3:C8", c3_by_c8),
+    (24, "C3:C8", lambda: cyclic_by_power(3, 8, 2)),
     (24, "C3xD8", lambda: direct_product(make_cyclic(3), make_dihedral(8))),
     (24, "C3xQ8", lambda: direct_product(make_cyclic(3), make_dicyclic(8))),
     (24, "C4xS3", lambda: direct_product(make_cyclic(4), make_symmetric(3))),
