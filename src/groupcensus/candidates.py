@@ -15,9 +15,9 @@ is derived from the signature on demand.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
-from typing import NamedTuple
 
 from .census import euler_phi, phi_inverse
 
@@ -50,11 +50,10 @@ def integer_partitions(delta: int) -> list[tuple[int, ...]]:
     return rec(delta, delta)
 
 
-class CandidateRow(NamedTuple):
+class CandidateRow(namedtuple("CandidateRow", "partition choices")):
     """How a partition realizes a signature: a (count, order) per part."""
 
-    partition: tuple[int, ...]
-    choices: tuple[tuple[int, int], ...]  # (count, order) aligned with partition
+    __slots__ = ()  # choices: (count, order) pairs aligned with partition
 
     @property
     def factorization(self) -> tuple[tuple[int, int], ...]:
@@ -62,10 +61,10 @@ class CandidateRow(NamedTuple):
         return tuple((count, _weight(d)) for count, d in self.choices)
 
 
-class Candidate(NamedTuple):
+class Candidate(namedtuple("Candidate", "signature")):
     """A possible signature; its partition row is derived on demand."""
 
-    signature: tuple[int, ...]  # sorted, entries > 2
+    __slots__ = ()  # signature: sorted, entries > 2
 
     @property
     def rows(self) -> tuple[CandidateRow, ...]:
@@ -124,6 +123,6 @@ def enumerate_candidates(delta: int) -> list[Candidate]:
                 found.append(entries + (d,))
 
     extend(0, delta, ())
-    # tuple.__new__ skips the NamedTuple constructor's Python frame
+    # tuple.__new__ skips the namedtuple constructor's Python frame
     new = tuple.__new__
     return [new(Candidate, (entries,)) for entries in found]

@@ -18,9 +18,10 @@ check before its census is read.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache, lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple
 
 from .census import CensusReport, census
 from .exclusion import admissible_orders
@@ -44,13 +45,10 @@ class CatalogError(ValueError):
     """The catalog data file is malformed or fails validation."""
 
 
-class CatalogEntry(NamedTuple):
+class CatalogEntry(namedtuple("CatalogEntry", "order index label rows")):
     """One catalog group: its order, stable index, label and table rows."""
 
-    order: int
-    index: int
-    label: str
-    rows: tuple[bytes, ...]  # row a holds a*b at position b
+    __slots__ = ()  # rows: bytes, row a holds a*b at position b
 
     def build(self) -> GroupTable:
         """The entry's group table, checked against the group axioms."""

@@ -11,8 +11,7 @@ delta.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .groups import GroupTable
 
@@ -69,14 +68,13 @@ def phi_inverse(m: int) -> list[int]:
     return sorted(solutions(m, 0))
 
 
-class CensusReport(NamedTuple):
+class CensusReport(namedtuple("CensusReport", "group_order n_d total_cyclic"
+                              " delta signature")):
     """Per-order cyclic subgroup counts and the derived invariants."""
 
-    group_order: int
-    n_d: tuple[tuple[int, int], ...]  # (order d, count) pairs, d ascending
-    total_cyclic: int
-    delta: int
-    signature: tuple[int, ...]  # the entries d > 2, ascending
+    # n_d: (order d, count) pairs, d ascending; signature: the entries
+    # d > 2, ascending
+    __slots__ = ()
 
     def count(self, d: int) -> int:
         return dict(self.n_d).get(d, 0)

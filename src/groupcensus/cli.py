@@ -1,17 +1,25 @@
 """Command-line interface: analyze, candidates, exclude, verify, catalog, explore.
 
-Exit codes: 0 on success, 1 when a verification fails or the reader closes
-stdout before the output ends, 2 on usage or parse errors.  All output is
-deterministic: identical invocations produce byte-identical output.
+``parse_args`` reads the arguments from one table by argparse's rules,
+without importing argparse: ``--opt VALUE``, ``--opt=VALUE`` or a unique
+prefix of the option; a dash-led token is an option unless it is "-" or a
+negative number; "--" ends the options; the last repeat wins.  ``-h``
+writes help to the output stream.
+
+Exit codes: 0 on success and help, 1 when a verification fails or the
+reader closes stdout before the output ends, 2 on usage or parse errors,
+each an ``error:`` line on stderr.  All output is deterministic: identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .candidates import Candidate, enumerate_candidates, integer_partitions
 from .catalog import MAX_CATALOG_ORDER, catalog_search, catalog_validate
@@ -313,44 +321,139 @@ def _cmd_explore(args, out) -> int:
 # driver
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="groupcensus",
-        description="Cyclic-subgroup census of small finite groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's one-line help, positional names and options.  An option
+# has a kind (int, str, a tuple of choices, or bool for a flag that takes
+# no value) and a default, or _REQUIRED for none.
+_REQUIRED = object()
+_TABLES = {"--delta": (int, _REQUIRED),
+           "--format": (("table", "json", "latex"), "table")}
+_GRAMMAR = {
+    "analyze": ("census of one group expression, e.g. 'D8 x C2'", ("expr",),
+                {"--format": (("text", "json"), "text")}),
+    "candidates": ("possible signatures for a delta", (), _TABLES),
+    "exclude": ("exclusion and revised tables", (), _TABLES),
+    "verify": ("verify the classification: --delta or --all, not both", (),
+               {"--delta": (int, None), "--all": (bool, False),
+                "--format": (("text", "json"), "text")}),
+    "catalog": ("search the bundled catalog; --sigma is e.g. 4,4,4", (),
+                {"--max-order": (int, MAX_CATALOG_ORDER),
+                 "--delta": (int, None), "--sigma": (str, None),
+                 "--format": (("table", "json"), "table")}),
+    "explore": ("survivors beyond the classified range", (),
+                {"--delta": (int, _REQUIRED),
+                 "--format": (("table", "json"), "table")}),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$").match
 
-    p = sub.add_parser("analyze", help="census of one constructed group")
-    p.add_argument("expr", help="group expression, e.g. 'D8 x C2'")
-    p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("candidates", help="possible signatures for a delta")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--format", choices=["table", "json", "latex"],
-                   default="table")
+def _help(commands, out) -> None:
+    """Write the usage line and the help of each of ``commands``."""
+    for command in commands:
+        help_, slots, options = _GRAMMAR[command]
+        words = [f"usage: groupcensus {command} [-h]", *slots]
+        for name, (kind, default) in options.items():
+            word = name + ("" if kind is bool else " {%s}" % ",".join(kind)
+                           if type(kind) is tuple else " " + name[2:].upper())
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        _emit(out, " ".join(words) + "\n    " + help_)
 
-    p = sub.add_parser("exclude", help="exclusion and revised tables")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--format", choices=["table", "json", "latex"],
-                   default="table")
 
-    p = sub.add_parser("verify", help="verify the classification")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta", type=int)
-    group.add_argument("--all", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+def _match(token: str, names) -> tuple[str | None, str | None]:
+    """The option among ``names`` that a token gives, and its value.
 
-    p = sub.add_parser("catalog", help="search the bundled catalog")
-    p.add_argument("--max-order", type=int, default=MAX_CATALOG_ORDER)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--sigma", type=str, default=None,
-                   help="comma-separated entries, e.g. 4,4,4")
-    p.add_argument("--format", choices=["table", "json"], default="table")
+    The option is None for a positional and "" for an unknown option; the
+    value, what follows "=" (or "-h"), is None when there is none.
+    """
+    if token[:1] != "-" or token == "-":
+        return None, None
+    if token.startswith("-h"):  # -hx and -h=x give help a value
+        return "--help", token[2:] or None
+    if token[1] == "-":  # a long option may be cut to a unique prefix
+        name, eq, value = token.partition("=")
+        hits = [n for n in names if n.startswith(name)]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {token}")
+        if hits:
+            return hits[0], value if eq else None
+    # failing a match, a negative number or text with a space is positional
+    return None if _NEGATIVE_NUMBER(token) or " " in token else "", None
 
-    p = sub.add_parser("explore", help="survivors beyond the classified range")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
-    return parser
+def parse_args(argv: Sequence[str], out) -> SimpleNamespace | None:
+    """The command and option values of argv, by argparse's rules.
+
+    Help goes to ``out`` and returns None.  A usage error raises ValueError:
+    a bad or missing value at once, so help after it loses, and an unknown
+    option, a stray positional or a missing option after the last token.
+    """
+    unknown = []
+    for start, token in enumerate(argv):
+        # argparse takes a "--" before the command as the command
+        name, value = (None, None) if token == "--" else _match(
+            token, ["--help"])
+        if name is None:
+            break
+        if name and value is not None:
+            raise ValueError("--help takes no value")
+        if name:
+            return _help(_GRAMMAR, out)
+        unknown.append(token)
+    else:
+        token = None
+    if token not in _GRAMMAR:
+        raise ValueError(f"the command is one of {', '.join(_GRAMMAR)}")
+    command, tokens = token, argv[start + 1:]
+    _, slots, options = _GRAMMAR[command]
+    options = {"--help": (bool, False), **options}
+    # every token up to "--" is matched first, as argparse does, so that an
+    # ambiguous prefix fails before any help; all after it are positionals
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    matches = [_match(token, options) for token in tokens[:cut]]
+    matches += [("--", None)] + [(None, None)] * (len(tokens) - cut - 1)
+    values = {name: default for name, (_kind, default) in options.items()}
+    filled, filled_at, i = [], None, 0
+    while i < len(tokens):
+        token, (name, value) = tokens[i], matches[i]
+        kind, i = options.get(name, (None,))[0], i + 1
+        if name is None and len(filled) < len(slots):
+            filled.append(token)
+            filled_at = i
+        elif name == "--" and (len(filled) < len(slots) or filled_at == i - 1):
+            pass  # argparse drops a "--" next to a positional it fills
+        elif kind is None:
+            unknown.append(token)
+        elif kind is bool:
+            if value is not None:
+                raise ValueError(f"{name} takes no value")
+            if name == "--help":
+                return _help([command], out)
+            values[name] = True
+        else:
+            if value is None:
+                if matches[i][0] is not None:
+                    raise ValueError(f"{name} needs a value")
+                value, i = tokens[i], i + 1
+            if type(kind) is tuple and value not in kind:
+                raise ValueError(f"{name}: {value!r} is not one of"
+                                 f" {', '.join(kind)}")
+            try:
+                values[name] = int(value) if kind is int else value
+            except ValueError:
+                raise ValueError(f"{name}: {value!r} is not an integer"
+                                 ) from None
+        if values.get("--all") and values["--delta"] is not None:
+            raise ValueError("--delta and --all exclude each other")
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if command == "verify" and values["--delta"] is None and not values["--all"]:
+        missing.append("--delta or --all")
+    missing += slots[len(filled):]
+    if missing:
+        raise ValueError(f"required: {' '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    args = {name[2:].replace("-", "_"): value for name, value in values.items()
+            if name != "--help"}
+    return SimpleNamespace(command=command, **args, **dict(zip(slots, filled)))
 
 
 _COMMANDS = {
@@ -365,14 +468,10 @@ _COMMANDS = {
 
 def run(argv: Sequence[str], out=None) -> int:
     """Parse arguments and run one subcommand; returns the exit code."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     out = out if out is not None else sys.stdout
     try:
-        return _COMMANDS[args.command](args, out)
+        args = parse_args(argv, out)
+        return 0 if args is None else _COMMANDS[args.command](args, out)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

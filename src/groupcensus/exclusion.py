@@ -37,23 +37,20 @@ that can hold a witness.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .candidates import enumerate_candidates
 from .census import euler_phi
 
 
-class ExclusionRule(NamedTuple):
-    id: str
-    description: str
+class ExclusionRule(namedtuple("ExclusionRule", "id description")):
+    __slots__ = ()
 
 
-class Verdict(NamedTuple):
-    signature: tuple[int, ...]
-    excluded: bool
-    fired_rules: tuple[str, ...]
-    recorded_rule: str | None  # curated justification, delta <= 5 only
+class Verdict(namedtuple("Verdict",
+                         "signature excluded fired_rules recorded_rule")):
+    __slots__ = ()  # recorded_rule: curated justification, delta <= 5 only
 
 
 # per-order facts, computed once per order rather than per signature and rule

@@ -15,7 +15,7 @@ list of permutations in 0-based cycle notation.
 from __future__ import annotations
 
 import re
-from typing import Callable, TypeVar
+from collections.abc import Callable
 
 from .groups import (MAX_ORDER, GroupTable, cyclic_extension,
                      direct_product, from_permutations, make_alternating,
@@ -48,8 +48,6 @@ _CONSTRUCTORS = {
 # expression comes close: each level at least doubles the order.
 MAX_NESTING = 32
 
-T = TypeVar("T")
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -60,7 +58,7 @@ class _Parser:
     def error(self, message: str) -> GroupExpressionError:
         return GroupExpressionError(message, self.pos)
 
-    def build(self, make: Callable[..., T], *args, **kwargs) -> T:
+    def build(self, make: Callable, *args, **kwargs):
         """make(*args, **kwargs), its ValueError raised at this position."""
         try:
             return make(*args, **kwargs)

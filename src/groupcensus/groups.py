@@ -11,8 +11,8 @@ included: cheap at these sizes, and construction bugs fail at once.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 MAX_ORDER = 64
 _DOUBLED = bytes(range(256)) * 2  # _shifted's windows

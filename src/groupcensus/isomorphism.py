@@ -23,7 +23,7 @@ on it with the invariants.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 from .groups import GroupTable, generated_subgroup
 

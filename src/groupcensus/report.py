@@ -2,30 +2,24 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class CheckResult(NamedTuple):
+class CheckResult(namedtuple("CheckResult", "name passed detail",
+                             defaults=("",))):
     """Outcome of one named check; detail carries the witness on failure."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-class ClaimResult(NamedTuple):
+class ClaimResult(namedtuple("ClaimResult", "delta label order delta_computed"
+                             " sigma_computed passed detail", defaults=("",))):
     """Outcome of constructing one claimed group and checking its census."""
 
-    delta: int
-    label: str
-    order: int
-    delta_computed: int
-    sigma_computed: tuple[int, ...]
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,13 +10,13 @@ structural facts the classification arguments lean on.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, NamedTuple
 
-from .catalog import (MAX_CATALOG_ORDER, CatalogEntry, catalog_tables,
-                      catalog_validate)
-from .census import CensusReport, census, count_solutions, euler_phi
+from .catalog import MAX_CATALOG_ORDER, catalog_tables, catalog_validate
+from .census import census, count_solutions, euler_phi
 from .exclusion import admissible_orders, revised_table
 from .groups import (GroupTable, InvalidActionError, cyclic_extension,
                      direct_product, generated_subgroup, make_alternating,
@@ -26,19 +26,17 @@ from .isomorphism import extend_generator_map, isomorphism_classes
 from .report import CheckResult, ClaimResult, VerificationReport
 
 
-class GroupRecipe(NamedTuple):
+class GroupRecipe(namedtuple("GroupRecipe", "label build expected_sigma")):
     """A named construction together with the signature it must realize."""
 
-    label: str
-    build: Callable[[], GroupTable]
-    expected_sigma: tuple[int, ...]  # sorted, entries > 2
+    # build: () -> GroupTable; expected_sigma: sorted, entries > 2
+    __slots__ = ()
 
 
-class TheoremClaim(NamedTuple):
+class TheoremClaim(namedtuple("TheoremClaim", "delta groups")):
     """The complete list of groups claimed for one value of delta."""
 
-    delta: int
-    groups: tuple[GroupRecipe, ...]
+    __slots__ = ()
 
 
 def _klein_by_c4() -> GroupTable:
@@ -402,12 +400,13 @@ def property_suite() -> VerificationReport:
 # exploration
 
 
-class SurvivorReport(NamedTuple):
+class SurvivorReport(namedtuple("SurvivorReport",
+                                "signature witnesses known")):
     """One surviving signature with catalog witnesses and any known list."""
 
-    signature: tuple[int, ...]
-    witnesses: tuple[tuple[CatalogEntry, CensusReport], ...]
-    known: tuple[str, ...] | None  # labels of a proven-complete list
+    # witnesses: (CatalogEntry, CensusReport) pairs; known: labels of a
+    # proven-complete list, or None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

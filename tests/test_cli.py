@@ -1,6 +1,8 @@
 """CLI subcommands: output schemas, determinism and exit codes."""
 
+import argparse
 import ast
+import contextlib
 import gc
 import hashlib
 import io
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcensus import cli
+from groupcensus.catalog import MAX_CATALOG_ORDER
 from groupcensus.report import CheckResult, VerificationReport
 
 
@@ -246,6 +249,149 @@ def test_usage_errors():
     assert run_cli("candidates", "--delta", "4", "--format", "yaml")[0] == 2
 
 
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its table-driven parser."""
+    parser = argparse.ArgumentParser(
+        prog="groupcensus",
+        description="Cyclic-subgroup census of small finite groups.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="census of one constructed group")
+    p.add_argument("expr", help="group expression, e.g. 'D8 x C2'")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("candidates", help="possible signatures for a delta")
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--format", choices=["table", "json", "latex"],
+                   default="table")
+
+    p = sub.add_parser("exclude", help="exclusion and revised tables")
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--format", choices=["table", "json", "latex"],
+                   default="table")
+
+    p = sub.add_parser("verify", help="verify the classification")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--delta", type=int)
+    group.add_argument("--all", action="store_true")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+    p = sub.add_parser("catalog", help="search the bundled catalog")
+    p.add_argument("--max-order", type=int, default=MAX_CATALOG_ORDER)
+    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--sigma", type=str, default=None,
+                   help="comma-separated entries, e.g. 4,4,4")
+    p.add_argument("--format", choices=["table", "json"], default="table")
+
+    p = sub.add_parser("explore", help="survivors beyond the classified range")
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--format", choices=["table", "json"], default="table")
+
+    return parser
+
+
+def assert_parses_as_argparse(argv):
+    """cli.parse_args gives argparse's values, help (exit 0) or exit 2."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(argparse_oracle().parse_args(argv))
+        except SystemExit as exc:
+            expected = exc.code
+    out = io.StringIO()
+    try:
+        args = cli.parse_args(argv, out)
+        got = 0 if args is None else vars(args)
+    except ValueError:
+        got = 2
+    assert got == expected, argv
+    assert out.getvalue().startswith("usage: groupcensus ") == (got == 0), argv
+
+
+_COMMAND_WORDS = ["analyze", "candidates", "exclude", "verify", "catalog",
+                  "explore", "frob"]
+_ARGV_TOKENS = st.sampled_from(_COMMAND_WORDS + [
+    # every option, unique prefixes, and values after "="
+    "--delta", "--all", "--format", "--max-order", "--sigma", "-h", "--help",
+    "--del", "--d", "--form", "--max", "--a", "--s", "--he",
+    "--delta=3", "--del=x", "--format=json", "--form=latex", "--all=1",
+    "--sigma=4,4", "--sigma=", "--max-order=16", "--help=", "--=x", "-hx",
+    # the end of options, dash-led values and words, and plain values
+    "--", "-", "-1", "-.5", "-C4", "-x y", "0", "3", "5", "16", "text",
+    "table", "json", "latex", "yaml", "", " 5", "x", "4,4,4"])
+_ARGV = st.one_of(
+    st.lists(_ARGV_TOKENS, max_size=5),
+    st.tuples(st.sampled_from(_COMMAND_WORDS),
+              st.lists(_ARGV_TOKENS, max_size=7)).map(
+        lambda pair: [pair[0], *pair[1]]))
+
+
+@settings(max_examples=1000, deadline=2000)
+@given(_ARGV)
+def test_parser_agrees_with_argparse(argv):
+    assert_parses_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # every documented form of every command
+    ["analyze", "D8 x C2"], ["analyze", "Q8", "--format", "json"],
+    ["analyze", "--format=json", "sd(C3 x C3, C2, inv)"],
+    ["candidates", "--delta", "4"], ["candidates", "--delta=4"],
+    ["candidates", "--delta", "5", "--format", "latex"],
+    ["exclude", "--delta", "5"], ["exclude", "--delta", "2", "--format",
+                                  "json"],
+    ["verify", "--all"], ["verify", "--delta", "3"],
+    ["verify", "--all", "--format", "json"],
+    ["catalog"], ["catalog", "--max-order", "24", "--delta", "2"],
+    ["catalog", "--max-order", "16", "--sigma", "4,4,4,4"],
+    ["catalog", "--sigma", ""], ["catalog", "--sigma="],
+    ["catalog", "--sigma", "3,6", "--format", "json"],
+    ["explore", "--delta", "6"], ["explore", "--delta", "16", "--format",
+                                  "json"],
+    ["-h"], ["--help"], ["verify", "-h"], ["explore", "--he"],
+    # prefixes, repeats, negative numbers and "-" as values
+    ["explore", "--del", "6", "--form", "json"], ["catalog", "--m=3"],
+    ["verify", "--delta", "1", "--delta", "2"], ["catalog", "--delta", "-1"],
+    ["catalog", "--sigma", "-"], ["analyze", "-1"], ["analyze", "-.5"],
+    # ways a parser that reads tokens naively parts from argparse
+    ["analyze", "-h"], ["analyze", "x", "--"], ["analyze", "--", "-x"],
+    ["catalog", "--sigma", "-C4"], ["explore", "-C4", "--he"],
+    ["verify", "--all", "--"], ["verify", "--delta", "1", "--all", "-h"],
+    ["verify", "-h", "--delta", "1", "--all"], ["verify", "--all=1", "-h"],
+    ["verify", "-h", "--=x"], ["--=x", "verify"], ["-C4", "verify", "-h"],
+    ["--", "verify", "--all"], ["-hx"], ["analyze", "x", "y"], [],
+    ["frob", "-h"], ["candidates", "--delta", " 5"],
+])
+def test_parser_corpus_agrees_with_argparse(argv):
+    assert_parses_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["verify", "-h"], ["analyze", "--he"],
+    ["catalog", "-C4", "-h", "--max-order", "x"],
+])
+def test_help_goes_to_out_and_exits_0(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert text.startswith("usage: groupcensus ")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_names_every_command_and_option():
+    text = run_cli("-h")[1]
+    assert [line.split()[2] for line in text.splitlines()
+            if line.startswith("usage:")] == list(cli._GRAMMAR)
+    for command, (_help, slots, options) in cli._GRAMMAR.items():
+        usage = run_cli(command, "-h")[1].splitlines()[0]
+        assert all(word in usage for word in [*slots, *options])
+
+
+def test_usage_error_is_one_line_on_stderr(capsys):
+    assert run_cli("verify", "--delta", "x") == (2, "")
+    assert capsys.readouterr() == (
+        "", "error: --delta: 'x' is not an integer\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "D8 x C2"),
     ("candidates", "--delta", "5", "--format", "latex"),
@@ -330,17 +476,19 @@ def test_json_writer_matches_the_standard_encoder():
 
 
 def test_cli_import_loads_no_heavy_modules():
-    # dataclasses pulls in inspect, ast and dis; json is needed only by
+    # -S, because site can preload typing; argparse pulls in gettext and
+    # locale, dataclasses inspect, ast and dis; json is needed only by
     # --format json and is imported there
     code = ("import sys; before = set(sys.modules); import groupcensus.cli;"
             " print(' '.join(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, timeout=60, env=env)
+    child = subprocess.run([sys.executable, "-S", "-c", code],
+                           capture_output=True, text=True, timeout=60, env=env)
     assert child.returncode == 0, child.stderr
     added = set(child.stdout.split())
     assert "groupcensus.cli" in added
-    assert not added & {"dataclasses", "inspect", "json"}
+    assert not added & {"argparse", "gettext", "locale", "typing",
+                        "dataclasses", "inspect", "json"}
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -377,6 +525,12 @@ def test_process_output_matches_run(argv):
     assert child.returncode == code == 0
     assert child.stderr == b""
     assert child.stdout == text.encode()
+
+
+def test_process_help_exits_0_on_stdout():
+    child = run_python("-m", "groupcensus", "explore", "-h")
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == run_cli("explore", "-h")[1].encode()
 
 
 def test_process_usage_error_exits_2():
@@ -443,7 +597,7 @@ _EXPRESSION_TEXT = st.one_of(
     st.text(alphabet="CDQSAxsdpermiv(),;[] 0123456789-", max_size=30))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=2000)
 @given(_EXPRESSION_TEXT)
 def test_analyze_fuzz_exits_0_or_2(text):
     # any expression or cycle text parses to a census or a usage error,
