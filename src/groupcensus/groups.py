@@ -3,9 +3,11 @@
 A group of order n lives on the element indices 0..n-1, with 0 always the
 identity.  Rows of the table are stored as ``bytes`` (indices fit in 8 bits
 since the supported order is capped at 64).  Every table is checked against
-the group axioms at construction (rows, identity, associativity; columns
-follow), the one validity check for every built table, cyclic extensions
-included: cheap at these sizes, and construction bugs fail at once.
+the group axioms at construction, the one validity check for every built
+table, cyclic extensions included: byte scans for entries in range, the
+identity and a 0 in every row, then Light's test for associativity; a
+monoid in which every element has a right inverse is a group, so rows and
+columns follow.  Cheap at these sizes, and construction bugs fail at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
 MAX_ORDER = 64
-_DOUBLED = bytes(range(256)) * 2  # _shifted's windows
+_DOUBLED = bytes(range(256)) * 2  # _shifted's windows; [:n] is 0..n-1
+_ZEROS = bytes(MAX_ORDER)  # the 0 that _validate_table finds in each row
 
 
 class GroupConstructionError(ValueError):
@@ -99,15 +102,19 @@ class GroupTable:
                  "_cheap", "_profile", "_classes")
 
     def __init__(self, product: Sequence[Sequence[int]], name: str = "G"):
-        rows = tuple(bytes(row) for row in product)
-        n = len(rows)
+        try:
+            rows = tuple(map(bytes, product))
+        except (TypeError, ValueError):  # an entry that is no int in 0..255
+            rows = None
+        n = len(product if rows is None else rows)
         if not 1 <= n <= MAX_ORDER:
             raise GroupConstructionError(
                 f"group order must be in 1..{MAX_ORDER}, got {n}")
-        _validate_table(rows, n)
+        if rows is None:
+            raise _first_defect(product, n)
+        self.inverse = _validate_table(rows, n)
         self.order = n
         self.product = rows
-        self.inverse = bytes(row.index(0) for row in rows)
         self.name = name
         self._orders: tuple[int, ...] | None = None
         self._abelian: bool | None = None
@@ -159,20 +166,70 @@ class GroupTable:
         return f"GroupTable({self.name!r}, order={self.order})"
 
 
-def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
-    """Check the group axioms on a table of n rows.
+def _validate_table(rows: tuple[bytes, ...], n: int) -> bytes:
+    """Check the group axioms on a table of n rows; return the inverses.
 
-    Rows must be permutations of 0..n-1, element 0 a two-sided identity,
-    and the product associative, which Light's test decides from n * |S|
-    products instead of n * n (Clifford and Preston, The Algebraic Theory
-    of Semigroups I, 1961, section 1.2).  The columns then need no scan: in
-    this monoid every a has a right inverse, ab = 0 (row a holds 0), and
-    bc = 0 gives ba = ba(bc) = b(ab)c = bc = 0, so it is a group, and a
-    group's columns are permutations.
+    A table is accepted when every row has length n and entries below n,
+    row 0 and column 0 are 0..n-1, every row holds 0, and Light's test
+    (``_light_pair``) proves the product associative.  All but Light's
+    test are C-level scans over the rows and their join; no row is sorted.
 
-    Light's test.  Let T be the set of b with a(by) = (ab)y for all a, y.
-    T holds 0, and it is closed under the product: for b, c in T,
-    a((bc)y) = a(b(cy)) = (ab)(cy) = ((ab)c)y = (a(bc))y.  So once T
+    These checks accept exactly the groups.  A group passes each of them.
+    Conversely, a table that passes is a monoid with identity 0, and every
+    a in it has a right inverse: ab = 0 where row a holds 0.  If also
+    bc = 0, then ba = ba(bc) = b(ab)c = bc = 0, so b is a two-sided
+    inverse of a and the table is a group.  So its rows and columns are
+    permutations, though no check asked for that: Light's argument never
+    uses it.
+
+    A rejected table goes to ``_first_defect``, which names the defect.
+    """
+    flat = b"".join(rows)
+    ident = _DOUBLED[:n]
+    try:  # bytes() refuses the -1 of a row without 0
+        inverse = bytes(map(bytes.find, rows, _ZEROS))
+    except ValueError:
+        inverse = b""
+    if (len(inverse) == n and set(map(len, rows)) == {n} and max(flat) < n
+            and rows[0] == ident == flat[::n] and _light_pair(rows, n) is None):
+        return inverse
+    raise _first_defect(rows, n)
+
+
+def _first_defect(rows: Sequence[Sequence[int]],
+                  n: int) -> GroupConstructionError:
+    """The error for a table that is no group, naming its first defect in
+    the order rows (length, then permutation of 0..n-1), identity,
+    associativity; a row whose entries are not all ints in 0..255 is no
+    permutation."""
+    ident = _DOUBLED[:n]
+    for x, row in enumerate(rows):
+        try:
+            row = bytes(row)
+        except (TypeError, ValueError):
+            return GroupConstructionError(
+                f"row {x} is not a permutation of 0..{n - 1}")
+        if len(row) != n:
+            return GroupConstructionError(
+                f"row {x} has length {len(row)}, expected {n}")
+        if bytes(sorted(row)) != ident:
+            return GroupConstructionError(
+                f"row {x} is not a permutation of 0..{n - 1}")
+    if rows[0] != ident or any(rows[x][0] != x for x in range(n)):
+        return GroupConstructionError("element 0 is not a two-sided identity")
+    a, b = _light_pair(rows, n)  # a table that passes all of this is a group
+    return GroupConstructionError(f"associativity fails at ({a}, {b})")
+
+
+def _light_pair(rows: tuple[bytes, ...], n: int) -> tuple[int, int] | None:
+    """A pair (a, b) at which Light's test fails, or None when the product
+    is associative.  The rows have length n and entries below n, and 0 is
+    a two-sided identity; nothing here needs the rows to be permutations.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, 1961, section 1.2).  Let T be the set of b with a(by) = (ab)y for
+    all a, y.  T holds 0, and it is closed under the product: for b, c in
+    T, a((bc)y) = a(b(cy)) = (ab)(cy) = ((ab)c)y = (a(bc))y.  So once T
     contains a set S from which right multiplication reaches every
     element, T is everything and the table is associative.
 
@@ -184,14 +241,6 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
     For each a and each b in S, the map y -> a(by), row b composed with
     row a through ``bytes.translate``, must equal row a*b.
     """
-    sorted_ident = bytes(range(n))
-    for x, row in enumerate(rows):
-        if len(row) != n:
-            raise GroupConstructionError(f"row {x} has length {len(row)}, expected {n}")
-        if bytes(sorted(row)) != sorted_ident:
-            raise GroupConstructionError(f"row {x} is not a permutation of 0..{n - 1}")
-    if rows[0] != sorted_ident or any(rows[x][0] != x for x in range(n)):
-        raise GroupConstructionError("element 0 is not a two-sided identity")
     gens: list[int] = []
     reached = bytearray(n)
     reached[0] = 1
@@ -212,8 +261,8 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> None:
         ta = ra + pad
         for b in gens:
             if rows[b].translate(ta) != rows[ra[b]]:
-                raise GroupConstructionError(
-                    f"associativity fails at ({a}, {b})")
+                return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +275,16 @@ def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     for x in seeds:
         if not 0 <= x < g.order:
             raise ValueError(f"element index {x} out of range for order {g.order}")
-    members = {0}
-    frontier = [0]
-    while frontier:
-        e = frontier.pop()
+    marked = bytearray(g.order)
+    marked[0] = 1
+    members = [0]
+    for e in members:  # grows while it is walked
         row = g.product[e]
         for s in seeds:
             t = row[s]
-            if t not in members:
-                members.add(t)
-                frontier.append(t)
+            if not marked[t]:
+                marked[t] = 1
+                members.append(t)
     return tuple(sorted(members))
 
 

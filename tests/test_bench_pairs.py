@@ -130,3 +130,42 @@ def test_summary_keeps_5_significant_digits():
     # counts stay exact integers
     assert traced["candidates.count.d16"]["parent_median"] == 8525
     assert isinstance(traced["candidates.count.d16"]["parent_median"], int)
+
+
+def test_relative_change_against_bounds():
+    tool = load_tool()
+    end_to_end = [{"name": "latency_ref.p50", "better": "lower", "bound": 0.25},
+                  {"name": "ops_per_ref", "better": "higher", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+    def run(seed, side, p50, ops, rss):
+        result = json.loads(result_line(p50, ops, 10))
+        result["metrics"]["peak_rss_mb"] = {"value": rss, "unit": "MB"}
+        return {"workload": "census", "seed": seed, "side": side, "trace": 0,
+                "record": {"samples": {"operations": 1000}},
+                "result": result}
+
+    # the change is 20% faster and grows 12% in peak: p50 and ops within
+    # their bounds, peak_rss_mb past its 10%
+    runs = [run(seed, side, p50, ops, rss)
+            for seed in (1, 2, 3)
+            for side, p50, ops, rss in (("parent", 1.00, 1.00, 20.0),
+                                        ("change", 0.80, 1.25, 22.4))]
+    census = tool.summarize(runs, end_to_end)["census"]
+    assert census["latency_ref.p50"]["relative_change"] == -0.2
+    assert census["latency_ref.p50"]["within_bound"] is True
+    assert census["ops_per_ref"]["relative_change"] == 0.25
+    assert census["ops_per_ref"]["within_bound"] is True
+    assert census["peak_rss_mb"]["relative_change"] == 0.12
+    assert census["peak_rss_mb"]["within_bound"] is False
+    # a throughput that drops by more than its bound is outside it too
+    for r in runs:
+        if r["side"] == "change":
+            r["result"]["metrics"]["ops_per_ref"]["value"] = 0.7
+    census = tool.summarize(runs, end_to_end)["census"]
+    assert census["ops_per_ref"]["relative_change"] == -0.3
+    assert census["ops_per_ref"]["within_bound"] is False
+    # without a bound, neither key
+    del end_to_end[0]["bound"]
+    stats = tool.summarize(runs, end_to_end)["census"]["latency_ref.p50"]
+    assert "relative_change" not in stats and "within_bound" not in stats

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from test_census import cyclic_subgroups
 
+from groupcensus import groups
 from groupcensus import (MAX_ORDER, GroupConstructionError, GroupTable,
                          InvalidActionError, census, cyclic_extension,
                          direct_product, from_permutations, generated_subgroup,
@@ -315,6 +316,129 @@ def test_validator_names_the_first_defect():
         seen[defect] += 1
     assert len(seen) == 6
     assert len(column_errors) == 2
+
+
+def sorted_rows_validator(rows, n):
+    """The validator GroupTable ran before its flat scans: each row sorted
+    and compared with 0..n-1, then the identity, then Light's test."""
+    sorted_ident = bytes(range(n))
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            raise GroupConstructionError(f"row {x} has length {len(row)}, expected {n}")
+        if bytes(sorted(row)) != sorted_ident:
+            raise GroupConstructionError(f"row {x} is not a permutation of 0..{n - 1}")
+    if rows[0] != sorted_ident or any(rows[x][0] != x for x in range(n)):
+        raise GroupConstructionError("element 0 is not a two-sided identity")
+    gens: list[int] = []
+    reached = bytearray(n)
+    reached[0] = 1
+    for s in range(1, n):
+        if reached[s]:
+            continue
+        gens.append(s)
+        stack = [x for x in range(n) if reached[x]]
+        while stack:
+            row = rows[stack.pop()]
+            for t in gens:
+                y = row[t]
+                if not reached[y]:
+                    reached[y] = 1
+                    stack.append(y)
+    pad = bytes(256 - n)
+    for a, ra in enumerate(rows):
+        ta = ra + pad
+        for b in gens:
+            if rows[b].translate(ta) != rows[ra[b]]:
+                raise GroupConstructionError(
+                    f"associativity fails at ({a}, {b})")
+
+
+def verdict(validate, rows):
+    """None if validate accepts the rows, else its error message."""
+    try:
+        validate(rows, len(rows))
+    except GroupConstructionError as err:
+        return str(err)
+    return None
+
+
+def repeated_entry_tables(n, count, rnd):
+    """Relabelled groups of order n with one entry of a row x >= 1 copied
+    over a nonzero entry of that row, away from column 0: every row still
+    holds 0, every entry is below n and the identity is intact, so only the
+    row scan names the defect."""
+    for _ in range(count):
+        rows = relabelled_rows(make_cyclic(n), rnd)
+        x = rnd.randrange(1, n)
+        y = rnd.choice([c for c in range(1, n) if rows[x][c]])
+        y2 = rnd.choice([c for c in range(1, n) if c != y])
+        rows[x][y] = rows[x][y2]
+        yield x, tuple(bytes(row) for row in rows)
+
+
+def moved_boundary_tables(n, rnd):
+    """Groups of order n with the last entry of row x moved to the front of
+    row x + 1, for every x in 1..n-2: the joined rows are the group's, so
+    only the row lengths are wrong."""
+    rows = [bytes(row) for row in relabelled_rows(make_cyclic(n), rnd)]
+    for x in range(1, n - 1):
+        moved = list(rows)
+        moved[x], moved[x + 1] = rows[x][:-1], rows[x][-1:] + rows[x + 1]
+        yield x, tuple(moved)
+
+
+def test_validator_matches_sorted_rows_oracle():
+    # verdict and message, on every table of order 3 over {0, 1, 2}, every
+    # row-normalized table of order <= 4 and the seeded damaged tables, then
+    # on tables that pass every scan of the joined rows, which only the
+    # per-row scans can name
+    order_3 = [tuple(bytes(cells[i:i + 3]) for i in (0, 3, 6))
+               for cells in itertools.product(range(3), repeat=9)]
+    assert len(order_3) == 3 ** 9
+    tables = order_3 + [tuple(rows) for n in range(1, 5)
+                        for rows in row_normalized_tables(n)]
+    tables += [tuple(rows) for seed in (10, 11)
+               for _defect, rows, _error in damaged_tables(seed, 400)]
+    accepted = 0
+    for rows in tables:
+        expected = verdict(sorted_rows_validator, rows)
+        assert verdict(groups._validate_table, rows) == expected, rows
+        accepted += expected is None
+    # C3 among the order-3 tables, the 7 small groups (C3 again) and the
+    # intact damaged tables
+    assert accepted == 1 + 7 + 127
+    rnd = random.Random(25)
+    for n in (3, 16, 64):
+        for x, rows in repeated_entry_tables(n, 20, rnd):
+            message = f"row {x} is not a permutation of 0..{n - 1}"
+            assert verdict(sorted_rows_validator, rows) == message
+            assert verdict(groups._validate_table, rows) == message
+        for x, rows in moved_boundary_tables(n, rnd):
+            message = f"row {x} has length {n - 1}, expected {n}"
+            assert verdict(sorted_rows_validator, rows) == message
+            assert verdict(groups._validate_table, rows) == message
+
+
+def test_validator_accepts_and_returns_inverses(sample):
+    n = sample.order
+    inverse = groups._validate_table(sample.product, n)
+    assert inverse == sample.inverse
+    assert all(sample.product[x][inverse[x]] == 0 for x in range(n))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 300], [300, 0]],  # an entry above 255
+    [[0, -1], [1, 0]],  # a negative entry
+    [[0, 1.0], [1, 0]],  # a float
+    ["ab", "ba"],  # strings
+    [[0, 1], [1, 256]],  # the first bad row is row 1
+])
+def test_entries_no_byte_holds_name_the_row(rows):
+    x = next(x for x, row in enumerate(rows)
+             if not all(isinstance(v, int) and 0 <= v < 256 for v in row))
+    with pytest.raises(GroupConstructionError,
+                       match=rf"^row {x} is not a permutation of 0\.\.1$"):
+        GroupTable(rows)
 
 
 def test_lagrange(sample):
@@ -900,6 +1024,32 @@ def test_generated_subgroup_is_closed():
         assert g.inverse[a] in members
         for b in members:
             assert g.product[a][b] in members
+
+
+def set_generated_subgroup(g, seed):
+    """generated_subgroup as it was: a set of members and a pop-stack."""
+    seeds = sorted(set(seed))
+    members = {0}
+    frontier = [0]
+    while frontier:
+        row = g.product[frontier.pop()]
+        for s in seeds:
+            t = row[s]
+            if t not in members:
+                members.add(t)
+                frontier.append(t)
+    return tuple(sorted(members))
+
+
+def test_generated_subgroup_matches_set_oracle(catalog):
+    rnd = random.Random(25)
+    for _entry, g, _report in catalog:
+        seeds = [[x] for x in range(g.order)]
+        seeds += [rnd.sample(range(g.order), 2) if g.order > 1 else [0, 0]
+                  for _ in range(200)]
+        for seed in seeds:
+            assert generated_subgroup(g, seed) == set_generated_subgroup(
+                g, seed), (g.name, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ Every run's record line and result line are kept.  The summary gives, per
 workload and end-to-end metric of the change's BENCHMARK.json, the median
 and quartiles of each side over the pairs (``statistics.quantiles(n=4,
 method='inclusive')``) and the number of pairs in which the change reads
-better, and for traced pairs each side's median per-layer value and the
-number of pairs in which the change's value is lower.  Medians and
+better.  Where BENCHMARK.json gives the metric a ``bound``, it adds the
+relative change of the medians and ``within_bound``: whether the change
+reads worse than the parent by no more than that share.  For traced pairs
+it gives each side's median per-layer value and the number of pairs in
+which the change's value is lower.  Medians and
 quartiles keep 5 significant digits, so a census latency of 0.003 ref
 keeps as many as a verify latency of 0.9.  Where the metrics
 include ``peak_rss_mb``, each workload also gets the least-squares line of
@@ -94,6 +97,14 @@ def _wins(pairs: list[dict], name: str, sign: int) -> str:
     return f"{wins}/{len(pairs)}"
 
 
+def _against_bound(stats: dict, sign: int, bound: float) -> dict:
+    """The relative change of the medians, change over parent, and whether
+    it stays within the metric's bound in the direction that reads worse."""
+    change = stats["change_median"] / stats["parent_median"] - 1
+    return {"relative_change": round(change, 4),
+            "within_bound": sign * change <= bound}
+
+
 def _rss_fit(pairs: list[dict], records: list[dict]) -> dict:
     """peak_rss_mb against operations: each side's median operation count,
     and the least-squares slope (MB per 10k operations) and intercept over
@@ -117,7 +128,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
 
     ``runs`` holds entries with workload, seed, side, trace and the parsed
     result line; ``end_to_end`` the metric declarations of BENCHMARK.json
-    (name and ``better``).  Only seeds run on both sides count as pairs.
+    (name, ``better`` and, optionally, ``bound``).  Only seeds run on both
+    sides count as pairs.
     """
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs
@@ -134,8 +146,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                     stats[f"{side}_median"] = _significant(median)
                     stats[f"{side}_q1"] = _significant(q1)
                     stats[f"{side}_q3"] = _significant(q3)
-                stats["change_better"] = _wins(
-                    pairs, name, 1 if metric["better"] == "lower" else -1)
+                sign = 1 if metric["better"] == "lower" else -1
+                stats["change_better"] = _wins(pairs, name, sign)
+                if "bound" in metric:
+                    stats.update(_against_bound(stats, sign, metric["bound"]))
                 entry[name] = stats
             if "peak_rss_mb" in entry:
                 entry["peak_rss_mb_fit"] = _rss_fit(
