@@ -17,7 +17,6 @@ from .census import (CensusReport, census, count_solutions, euler_phi,
                      phi_inverse)
 from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, RULES,
                         Verdict, apply_rules, revised_table)
-from .expressions import GroupExpressionError, parse_group
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
                      MAX_ORDER, cyclic_extension, direct_product,
                      from_permutations, generated_subgroup, make_alternating,
@@ -32,6 +31,16 @@ from .verify import (GroupRecipe, SurvivorReport, TheoremClaim, explore,
                      verify_all, verify_theorem)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the expression parser loads on first use, so a process that
+    # never parses an expression (verify, explore) never imports it
+    if name in ("GroupExpressionError", "parse_group"):
+        from . import expressions
+        return getattr(expressions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Candidate", "CandidateRow", "CatalogEntry", "CatalogError",

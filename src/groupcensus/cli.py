@@ -25,7 +25,6 @@ from .candidates import Candidate, enumerate_candidates, integer_partitions
 from .catalog import MAX_CATALOG_ORDER, catalog_search, catalog_validate
 from .census import census
 from .exclusion import apply_rules
-from .expressions import GroupExpressionError, parse_group
 from .verify import explore, known_groups_for, verify_all, verify_theorem
 
 USAGE_ERROR = 2
@@ -87,6 +86,8 @@ def _emit_json(stream, payload) -> None:
 
 
 def _cmd_analyze(args, out) -> int:
+    # imported here, so that the other commands' processes skip the module
+    from .expressions import GroupExpressionError, parse_group
     try:
         table = parse_group(args.expr)
     except (GroupExpressionError, ValueError) as err:

@@ -8,6 +8,12 @@ table, cyclic extensions included: byte scans for entries in range, the
 identity and a 0 in every row, then Light's test for associativity; a
 monoid in which every element has a right inverse is a group, so rows and
 columns follow.  Cheap at these sizes, and construction bugs fail at once.
+Light's test grows a generating set of at most log2 n elements on its way;
+the table keeps it, and the isomorphism search maps it.
+
+The dihedral, dicyclic and quasidihedral families extend the rows of C_n
+by ``cyclic_extension``'s row code without building a C_n table first:
+the extension's own check covers that block.
 """
 
 from __future__ import annotations
@@ -95,11 +101,12 @@ class GroupTable:
     """An immutable finite group of order at most 64 given by its table.
 
     ``product[a][b]`` is the index of a*b, element 0 is the identity and
-    ``inverse[x]`` is the unique y with x*y = 0.
+    ``inverse[x]`` is the unique y with x*y = 0.  ``_generators`` is the
+    generating set that Light's test grew while it validated the table.
     """
 
-    __slots__ = ("order", "product", "inverse", "name", "_orders", "_abelian",
-                 "_cheap", "_profile", "_classes")
+    __slots__ = ("order", "product", "inverse", "name", "_generators",
+                 "_orders", "_abelian", "_cheap", "_profile", "_classes")
 
     def __init__(self, product: Sequence[Sequence[int]], name: str = "G"):
         try:
@@ -110,9 +117,12 @@ class GroupTable:
         if not 1 <= n <= MAX_ORDER:
             raise GroupConstructionError(
                 f"group order must be in 1..{MAX_ORDER}, got {n}")
-        if rows is None:
+        # bytes(k) of an int k (anything with __index__) is k zero bytes,
+        # not a row's entries; that passes the checks only as the one row of
+        # the trivial group, since at n >= 2 a zero row is no permutation
+        if rows is None or n == 1 and hasattr(product[0], "__index__"):
             raise _first_defect(product, n)
-        self.inverse = _validate_table(rows, n)
+        self.inverse, self._generators = _validate_table(rows, n)
         self.order = n
         self.product = rows
         self.name = name
@@ -155,6 +165,7 @@ class GroupTable:
         clone.product = self.product
         clone.inverse = self.inverse
         clone.name = name
+        clone._generators = self._generators
         clone._orders = self._orders
         clone._abelian = self._abelian
         clone._cheap = self._cheap
@@ -166,13 +177,16 @@ class GroupTable:
         return f"GroupTable({self.name!r}, order={self.order})"
 
 
-def _validate_table(rows: tuple[bytes, ...], n: int) -> bytes:
-    """Check the group axioms on a table of n rows; return the inverses.
+def _validate_table(rows: tuple[bytes, ...],
+                    n: int) -> tuple[bytes, tuple[int, ...]]:
+    """Check the group axioms on a table of n rows; return the inverses and
+    the generating set that Light's test grew.
 
     A table is accepted when every row has length n and entries below n,
     row 0 and column 0 are 0..n-1, every row holds 0, and Light's test
-    (``_light_pair``) proves the product associative.  All but Light's
-    test are C-level scans over the rows and their join; no row is sorted.
+    (``_light_pair`` over ``_light_generators``) proves the product
+    associative.  All but Light's test are C-level scans over the rows and
+    their join; no row is sorted.
 
     These checks accept exactly the groups.  A group passes each of them.
     Conversely, a table that passes is a monoid with identity 0, and every
@@ -191,8 +205,10 @@ def _validate_table(rows: tuple[bytes, ...], n: int) -> bytes:
     except ValueError:
         inverse = b""
     if (len(inverse) == n and set(map(len, rows)) == {n} and max(flat) < n
-            and rows[0] == ident == flat[::n] and _light_pair(rows, n) is None):
-        return inverse
+            and rows[0] == ident == flat[::n]):
+        gens = _light_generators(rows, n)
+        if _light_pair(rows, gens) is None:
+            return inverse, gens
     raise _first_defect(rows, n)
 
 
@@ -200,11 +216,13 @@ def _first_defect(rows: Sequence[Sequence[int]],
                   n: int) -> GroupConstructionError:
     """The error for a table that is no group, naming its first defect in
     the order rows (length, then permutation of 0..n-1), identity,
-    associativity; a row whose entries are not all ints in 0..255 is no
-    permutation."""
+    associativity; a row that is an int, or whose entries are not all ints
+    in 0..255, is no permutation."""
     ident = _DOUBLED[:n]
     for x, row in enumerate(rows):
         try:
+            if hasattr(row, "__index__"):  # bytes(k) is k zero bytes
+                raise TypeError
             row = bytes(row)
         except (TypeError, ValueError):
             return GroupConstructionError(
@@ -217,29 +235,21 @@ def _first_defect(rows: Sequence[Sequence[int]],
                 f"row {x} is not a permutation of 0..{n - 1}")
     if rows[0] != ident or any(rows[x][0] != x for x in range(n)):
         return GroupConstructionError("element 0 is not a two-sided identity")
-    a, b = _light_pair(rows, n)  # a table that passes all of this is a group
+    # a table that passes all of this is a group
+    a, b = _light_pair(rows, _light_generators(rows, n))
     return GroupConstructionError(f"associativity fails at ({a}, {b})")
 
 
-def _light_pair(rows: tuple[bytes, ...], n: int) -> tuple[int, int] | None:
-    """A pair (a, b) at which Light's test fails, or None when the product
-    is associative.  The rows have length n and entries below n, and 0 is
-    a two-sided identity; nothing here needs the rows to be permutations.
+def _light_generators(rows: tuple[bytes, ...], n: int) -> tuple[int, ...]:
+    """The set S of Light's test (``_light_pair``), grown greedily: add the
+    least element not yet reached, then close the reached set under right
+    multiplication by S.  The rows have length n and entries below n, and
+    0 is a two-sided identity; nothing here needs the rows to be
+    permutations.
 
-    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
-    I, 1961, section 1.2).  Let T be the set of b with a(by) = (ab)y for
-    all a, y.  T holds 0, and it is closed under the product: for b, c in
-    T, a((bc)y) = a(b(cy)) = (ab)(cy) = ((ab)c)y = (a(bc))y.  So once T
-    contains a set S from which right multiplication reaches every
-    element, T is everything and the table is associative.
-
-    S is grown greedily: add the least element not yet reached, then close
-    the reached set under right multiplication by S.  In a group the
-    reached set is the subgroup S generates, so each new element at least
-    doubles it and |S| <= log2 n: at most 384 checks at order 64, not 4,096.
-
-    For each a and each b in S, the map y -> a(by), row b composed with
-    row a through ``bytes.translate``, must equal row a*b.
+    In a group the reached set is the subgroup S generates, so S generates
+    the group, and each new element at least doubles the subgroup, so
+    |S| <= log2 n.
     """
     gens: list[int] = []
     reached = bytearray(n)
@@ -256,7 +266,27 @@ def _light_pair(rows: tuple[bytes, ...], n: int) -> tuple[int, int] | None:
                 if not reached[y]:
                     reached[y] = 1
                     stack.append(y)
-    pad = bytes(256 - n)
+    return tuple(gens)
+
+
+def _light_pair(rows: tuple[bytes, ...],
+                gens: Sequence[int]) -> tuple[int, int] | None:
+    """A pair (a, b) with b in gens at which Light's test fails, or None
+    when the product is associative.  gens is ``_light_generators``' set,
+    from which right multiplication reaches every element.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, 1961, section 1.2).  Let T be the set of b with a(by) = (ab)y for
+    all a, y.  T holds 0, and it is closed under the product: for b, c in
+    T, a((bc)y) = a(b(cy)) = (ab)(cy) = ((ab)c)y = (a(bc))y.  So once T
+    contains a set S from which right multiplication reaches every
+    element, T is everything and the table is associative.
+
+    With |S| <= log2 n in a group, that is at most 384 checks at order
+    64, not 4,096.  For each a and each b in S, the map y -> a(by), row b
+    composed with row a through ``bytes.translate``, must equal row a*b.
+    """
+    pad = bytes(256 - len(rows))
     for a, ra in enumerate(rows):
         ta = ra + pad
         for b in gens:
@@ -296,8 +326,11 @@ def make_cyclic(n: int) -> GroupTable:
     """Cyclic group C_n with i*j = (i+j) mod n."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"cyclic order must be in 1..{MAX_ORDER}, got {n}")
-    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GroupTable(rows, name=f"C{n}")
+    return GroupTable(_cyclic_rows(n), name=f"C{n}")
+
+
+def _cyclic_rows(n: int) -> list[bytes]:
+    return [bytes([(i + j) % n for j in range(n)]) for i in range(n)]
 
 
 def make_dihedral(two_n: int) -> GroupTable:
@@ -309,8 +342,8 @@ def make_dihedral(two_n: int) -> GroupTable:
     if two_n % 2 != 0 or not 2 <= two_n <= MAX_ORDER:
         raise ValueError(f"dihedral order must be even and in 2..{MAX_ORDER},"
                          f" got {two_n}")
-    c = make_cyclic(two_n // 2)
-    return cyclic_extension(c, 2, c.inverse, 0, f"D{two_n}")
+    n = two_n // 2
+    return _cyclic_by_c2(n, [-x % n for x in range(n)], 0, f"D{two_n}")
 
 
 def make_dicyclic(four_n: int) -> GroupTable:
@@ -322,8 +355,8 @@ def make_dicyclic(four_n: int) -> GroupTable:
     if four_n % 4 != 0 or not 8 <= four_n <= MAX_ORDER:
         raise ValueError(f"dicyclic order must be a multiple of 4 in"
                          f" 8..{MAX_ORDER}, got {four_n}")
-    c = make_cyclic(four_n // 2)
-    return cyclic_extension(c, 2, c.inverse, four_n // 4, f"Q{four_n}")
+    n = four_n // 2
+    return _cyclic_by_c2(n, [-x % n for x in range(n)], n // 2, f"Q{four_n}")
 
 
 def make_quasidihedral(two_k: int) -> GroupTable:
@@ -336,7 +369,20 @@ def make_quasidihedral(two_k: int) -> GroupTable:
                          f" 16..{MAX_ORDER}, got {two_k}")
     n = two_k // 2  # s r s = r^(n/2 - 1) on C_n
     beta = [(n // 2 - 1) * x % n for x in range(n)]
-    return cyclic_extension(make_cyclic(n), 2, beta, 0, f"SD{two_k}")
+    return _cyclic_by_c2(n, beta, 0, f"SD{two_k}")
+
+
+def _cyclic_by_c2(n: int, beta: list[int], h0: int, name: str) -> GroupTable:
+    """``cyclic_extension(make_cyclic(n), 2, beta, h0, name)``, its table
+    row for row, with no C_n table built or checked.
+
+    The extension's own check covers C_n: rows and columns 0..n-1 of the
+    extension are C_n's rows (block 0, beta^0, no wrap), those n elements
+    are closed under the product, and so an accepted extension holds C_n's
+    table as that of a subgroup.  The families' beta and h0 meet the
+    conditions of ``cyclic_extension``, so the check accepts.
+    """
+    return GroupTable(_extension_rows(_cyclic_rows(n), 2, beta, h0), name)
 
 
 def make_symmetric(n: int) -> GroupTable:
@@ -474,22 +520,29 @@ def cyclic_extension(h: GroupTable, p: int, beta: Sequence[int], h0: int,
         raise InvalidActionError(f"beta is not a bijection of 0..{nh - 1}")
     if not 0 <= h0 < nh:
         raise InvalidActionError(f"h0 = {h0} is not an element of {h.name}")
+    try:
+        return GroupTable(_extension_rows(h.product, p, beta, h0), name=name)
+    except GroupConstructionError as err:
+        raise InvalidActionError(f"beta and h0 = {h0} do not give an"
+                                 f" extension of {h.name}: {err}") from None
+
+
+def _extension_rows(h_rows: Sequence[bytes], p: int, beta: Sequence[int],
+                    h0: int) -> list[bytes]:
+    """The rows of ``cyclic_extension`` from H's rows, unchecked."""
+    nh = len(h_rows)
     powers = [bytes(range(nh))]  # beta^j for j < p
     for _ in range(1, p):
         powers.append(bytes(beta[x] for x in powers[-1]))
-    wrap = h.product[h0] + bytes(256 - nh)
-    blocks = [[_shifted(row, k * nh) for row in h.product] for k in range(p)]
+    wrap = h_rows[h0] + bytes(256 - nh)
+    blocks = [[_shifted(row, k * nh) for row in h_rows] for k in range(p)]
     rows = []
     for i in range(p):
         parts = [(blocks[(i + j) % p], bj.translate(wrap) if i + j >= p
                   else bj) for j, bj in enumerate(powers)]
         rows += [b"".join([shifted[c[x]] for shifted, c in parts])
                  for x in range(nh)]
-    try:
-        return GroupTable(rows, name=name)
-    except GroupConstructionError as err:
-        raise InvalidActionError(f"beta and h0 = {h0} do not give an"
-                                 f" extension of {h.name}: {err}") from None
+    return rows
 
 
 def _check_order(order: int) -> None:

@@ -3,7 +3,9 @@
 Invariants settle every pair of distinct catalog groups; the pairs they
 cannot separate fall to a backtracking search that maps a generating set
 of one group into the other, pruned by per-element invariants and by
-closing each partial map.  The invariants come in two tiers: a cheap key
+closing each partial map.  The generating set is the one the table kept
+from its validation (``groups._light_generators``): at most log2 n
+elements, found at no extra cost.  The invariants come in two tiers: a cheap key
 (order, element-order histogram, square-root histogram) and the full
 profile, which adds the sizes of the centre, the derived subgroup and the
 conjugacy classes.  ``isomorphism_classes`` computes a full profile only
@@ -68,22 +70,10 @@ def conjugacy_classes(g: GroupTable) -> list[tuple[int, ...]]:
 
 
 def generating_set(g: GroupTable) -> list[int]:
-    """A small generating set, chosen greedily by closure growth."""
-    gens: list[int] = []
-    closed: frozenset[int] = frozenset({0})
-    while len(closed) < g.order:
-        best, best_closure = -1, closed
-        for x in range(g.order):
-            if x in closed:
-                continue
-            closure = frozenset(generated_subgroup(g, gens + [x]))
-            if len(closure) > len(best_closure):
-                best, best_closure = x, closure
-                if len(best_closure) == g.order:
-                    break
-        gens.append(best)
-        closed = best_closure
-    return gens
+    """A generating set of at most log2 |g| elements, empty for the trivial
+    group: the one Light's test grew while it validated the table, each
+    element the least one outside the subgroup of those before it."""
+    return list(g._generators)
 
 
 def _partial_map(src: GroupTable, dst: GroupTable,
@@ -184,8 +174,8 @@ def _element_keys(g: GroupTable) -> list[tuple[int, int]]:
 def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
     """Whether two group tables are isomorphic.
 
-    After the invariants, the search maps a generating set of a into b
-    one generator at a time, each onto an element with its per-element
+    After the invariants, the search maps the generating set a kept from
+    its validation into b one generator at a time, each onto an element with its per-element
     keys.  It closes each partial map over the subgroup the assigned
     generators span and backtracks on the first clash, so a map that
     reaches the last generator is an isomorphism.
@@ -194,7 +184,7 @@ def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
         return False
     if _profile(a) != _profile(b):
         return False
-    gens = generating_set(a)
+    gens = a._generators
     a_keys = _element_keys(a)
     b_keys = _element_keys(b)
     candidates = [[y for y in range(b.order) if b_keys[y] == a_keys[gen]]

@@ -6,17 +6,23 @@ first-principles constructors (never from the catalog), checks its census,
 and sweeps the bundled catalog of all groups of order <= 24 to confirm
 nothing else attains those deltas.  A separate property suite re-checks the
 structural facts the classification arguments lean on.
+
+Each named construction (a family member, a product of them) is built once
+per process by ``_built`` and shared by the recipes, the property suite's
+shapes and its doubling factor, with the census and invariants cached on
+it.  Only this module shares tables: ``parse_group`` and the library's
+constructors build every table afresh.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .catalog import MAX_CATALOG_ORDER, catalog_tables, catalog_validate
-from .census import census, count_solutions, euler_phi
+from .census import census, euler_phi
 from .exclusion import admissible_orders, revised_table
 from .groups import (GroupTable, InvalidActionError, cyclic_extension,
                      direct_product, generated_subgroup, make_alternating,
@@ -39,9 +45,39 @@ class TheoremClaim(namedtuple("TheoremClaim", "delta groups")):
     __slots__ = ()
 
 
+@cache
+def _built(make: Callable[..., GroupTable], *args: object) -> GroupTable:
+    """make(*args), built once per process and then shared.
+
+    Tables hash by identity, so ``_built(direct_product, a, b)`` of two
+    shared tables is shared as well.
+    """
+    return make(*args)
+
+
+def _cyclic(n: int) -> GroupTable:
+    return _built(make_cyclic, n)
+
+
+def _dihedral(n: int) -> GroupTable:
+    return _built(make_dihedral, n)
+
+
+def _dicyclic(n: int) -> GroupTable:
+    return _built(make_dicyclic, n)
+
+
+def _product(*factors: GroupTable) -> GroupTable:
+    """The left-nested direct product, AxBxC = (AxB)xC, of shared tables."""
+    table = factors[0]
+    for factor in factors[1:]:
+        table = _built(direct_product, table, factor)
+    return table
+
+
 def _klein_by_c4() -> GroupTable:
     # <a, b, c | a^2 = b^2 = c^4 = 1, ab = ba, ca = ac, c b c^-1 = ab>
-    klein = direct_product(make_cyclic(2), make_cyclic(2))
+    klein = _product(_cyclic(2), _cyclic(2))
     # klein indices: 1 = b, 2 = a, 3 = ab; c fixes a, b -> ab
     return cyclic_extension(klein, 4, (0, 3, 2, 1), 0, "(C2xC2):C4")
 
@@ -49,7 +85,7 @@ def _klein_by_c4() -> GroupTable:
 def _q8_by_c2() -> GroupTable:
     # <a, b, c | a^4 = c^2 = 1, a^2 = b^2, b a b^-1 = a^-1, ca = ac,
     #  c b c^-1 = a^2 b>
-    q8 = make_dicyclic(8)
+    q8 = _dicyclic(8)
     # q8 indices: a^i = i, b a^i = 4 + i; so a = 1, b = 4, a^2 b = 6
     images = extend_generator_map(q8, q8, {1: 1, 4: 6})
     if images is None:
@@ -59,7 +95,7 @@ def _q8_by_c2() -> GroupTable:
 
 
 def _c3c3_by_inversion() -> GroupTable:
-    c3c3 = direct_product(make_cyclic(3), make_cyclic(3))
+    c3c3 = _product(_cyclic(3), _cyclic(3))
     return cyclic_extension(c3c3, 2, c3c3.inverse, 0, "(C3xC3):C2")
 
 
@@ -77,59 +113,49 @@ def theorem_claims() -> list[TheoremClaim]:
     """The 4 + 4 + 3 + 11 + 3 = 25 claimed groups for delta = 1..5."""
     return [
         TheoremClaim(1, (
-            _recipe("C3", lambda: make_cyclic(3), 3),
-            _recipe("C4", lambda: make_cyclic(4), 4),
-            _recipe("S3", lambda: make_symmetric(3), 3),
-            _recipe("D8", lambda: make_dihedral(8), 4),
+            _recipe("C3", lambda: _cyclic(3), 3),
+            _recipe("C4", lambda: _cyclic(4), 4),
+            _recipe("S3", lambda: _built(make_symmetric, 3), 3),
+            _recipe("D8", lambda: _dihedral(8), 4),
         )),
         TheoremClaim(2, (
-            _recipe("C4xC2",
-                    lambda: direct_product(make_cyclic(4), make_cyclic(2)),
+            _recipe("C4xC2", lambda: _product(_cyclic(4), _cyclic(2)), 4, 4),
+            _recipe("D8xC2", lambda: _product(_dihedral(8), _cyclic(2)),
                     4, 4),
-            _recipe("D8xC2",
-                    lambda: direct_product(make_dihedral(8), make_cyclic(2)),
-                    4, 4),
-            _recipe("C6", lambda: make_cyclic(6), 3, 6),
-            _recipe("D12", lambda: make_dihedral(12), 3, 6),
+            _recipe("C6", lambda: _cyclic(6), 3, 6),
+            _recipe("D12", lambda: _dihedral(12), 3, 6),
         )),
         TheoremClaim(3, (
-            _recipe("Q8", lambda: make_dicyclic(8), 4, 4, 4),
-            _recipe("C5", lambda: make_cyclic(5), 5),
-            _recipe("D10", lambda: make_dihedral(10), 5),
+            _recipe("Q8", lambda: _dicyclic(8), 4, 4, 4),
+            _recipe("C5", lambda: _cyclic(5), 5),
+            _recipe("D10", lambda: _dihedral(10), 5),
         )),
         TheoremClaim(4, (
             _recipe("C4xC2xC2",
-                    lambda: direct_product(
-                        direct_product(make_cyclic(4), make_cyclic(2)),
-                        make_cyclic(2)),
+                    lambda: _product(_cyclic(4), _cyclic(2), _cyclic(2)),
                     4, 4, 4, 4),
             _recipe("C2xC2xD8",
-                    lambda: direct_product(
-                        direct_product(make_cyclic(2), make_cyclic(2)),
-                        make_dihedral(8)),
+                    lambda: _product(_cyclic(2), _cyclic(2), _dihedral(8)),
                     4, 4, 4, 4),
             _recipe("(C2xC2):C4", _klein_by_c4, 4, 4, 4, 4),
             _recipe("Q8:C2", _q8_by_c2, 4, 4, 4, 4),
-            _recipe("C3xC3",
-                    lambda: direct_product(make_cyclic(3), make_cyclic(3)),
+            _recipe("C3xC3", lambda: _product(_cyclic(3), _cyclic(3)),
                     3, 3, 3, 3),
             _recipe("(C3xC3):C2", _c3c3_by_inversion, 3, 3, 3, 3),
-            _recipe("A4", lambda: make_alternating(4), 3, 3, 3, 3),
-            _recipe("C6xC2",
-                    lambda: direct_product(make_cyclic(6), make_cyclic(2)),
+            _recipe("A4", lambda: _built(make_alternating, 4), 3, 3, 3, 3),
+            _recipe("C6xC2", lambda: _product(_cyclic(6), _cyclic(2)),
                     3, 6, 6, 6),
             _recipe("C2xC2xS3",
-                    lambda: direct_product(
-                        direct_product(make_cyclic(2), make_cyclic(2)),
-                        make_symmetric(3)),
+                    lambda: _product(_cyclic(2), _cyclic(2),
+                                     _built(make_symmetric, 3)),
                     3, 6, 6, 6),
-            _recipe("C8", lambda: make_cyclic(8), 4, 8),
-            _recipe("D16", lambda: make_dihedral(16), 4, 8),
+            _recipe("C8", lambda: _cyclic(8), 4, 8),
+            _recipe("D16", lambda: _dihedral(16), 4, 8),
         )),
         TheoremClaim(5, (
-            _recipe("C7", lambda: make_cyclic(7), 7),
-            _recipe("D14", lambda: make_dihedral(14), 7),
-            _recipe("C3:C4", lambda: make_dicyclic(12), 3, 4, 4, 4, 6),
+            _recipe("C7", lambda: _cyclic(7), 7),
+            _recipe("D14", lambda: _dihedral(14), 7),
+            _recipe("C3:C4", lambda: _dicyclic(12), 3, 4, 4, 4, 6),
         )),
     ]
 
@@ -147,8 +173,8 @@ def known_groups_for(entries: tuple[int, ...]) -> list[GroupRecipe] | None:
         a, m = entries[0], entries[-1]
         if a == 4 or euler_phi(a) == a - 1:
             return [
-                _recipe(f"C{m}", lambda: make_cyclic(m), *entries),
-                _recipe(f"D{2 * m}", lambda: make_dihedral(2 * m), *entries),
+                _recipe(f"C{m}", lambda: _cyclic(m), *entries),
+                _recipe(f"D{2 * m}", lambda: _dihedral(2 * m), *entries),
             ]
         return None
     known = _claims_by_sigma().get(entries)
@@ -264,11 +290,10 @@ def _check_doubling() -> CheckResult:
     # delta(G x C2) = 2 delta(G); checked for every catalog group that
     # stays censusable after doubling
     checked = 0
-    c2 = make_cyclic(2)
     for entry, table, rep in catalog_tables():
         if entry.order > 12:
             continue
-        doubled = census(direct_product(table, c2))
+        doubled = census(direct_product(table, _cyclic(2)))
         if doubled.delta != 2 * rep.delta:
             return CheckResult(
                 "doubling", False,
@@ -279,13 +304,13 @@ def _check_doubling() -> CheckResult:
 
 
 def _2_group_shapes(order: int) -> list[GroupTable]:
-    shapes = [make_cyclic(order)]
+    shapes = [_cyclic(order)]
     if order >= 4:
-        shapes.append(make_dihedral(order))
+        shapes.append(_dihedral(order))
     if order >= 8:
-        shapes.append(make_dicyclic(order))
+        shapes.append(_dicyclic(order))
     if order >= 16:
-        shapes.append(make_quasidihedral(order))
+        shapes.append(_built(make_quasidihedral, order))
     return shapes
 
 
@@ -293,16 +318,12 @@ def _check_odd_4_count() -> CheckResult:
     # a 2-group with an odd number of cyclic subgroups of order 4 must be
     # cyclic, dihedral, generalized quaternion or quasidihedral
     witnesses = []
-    shapes_by_order: dict[int, list[GroupTable]] = {}
     for entry, table, rep in catalog_tables():
         if entry.order & (entry.order - 1) or entry.order > 16:
             continue
         if rep.count(4) % 2 == 0:
             continue
-        shapes = shapes_by_order.get(entry.order)
-        if shapes is None:
-            shapes = shapes_by_order[entry.order] = _2_group_shapes(entry.order)
-        keys = isomorphism_classes([table, *shapes])
+        keys = isomorphism_classes([table, *_2_group_shapes(entry.order)])
         if keys[0] not in keys[1:]:
             return CheckResult(
                 "odd_4_count_2groups", False,
@@ -344,17 +365,19 @@ def _check_sigma_generators_index() -> CheckResult:
 
 
 def _check_frobenius() -> CheckResult:
-    # the number of solutions of x^n = 1 is a multiple of n for n | |G|
+    # the number of solutions of x^n = 1 is a multiple of n for n | |G|;
+    # x^n = 1 exactly when the order of x divides n (as in count_solutions)
     checked = 0
     for entry, table, _rep in catalog_tables():
+        orders = Counter(table.element_orders()).items()
         for n in range(1, entry.order + 1):
             if entry.order % n:
                 continue
-            if count_solutions(table, n) % n:
+            solutions = sum(count for d, count in orders if n % d == 0)
+            if solutions % n:
                 return CheckResult(
                     "frobenius_divisibility", False,
-                    f"{entry.label}: {count_solutions(table, n)} solutions"
-                    f" of x^{n} = 1")
+                    f"{entry.label}: {solutions} solutions of x^{n} = 1")
             checked += 1
     return CheckResult("frobenius_divisibility", True,
                        f"{checked} (group, divisor) pairs")
@@ -370,8 +393,8 @@ def _check_order4_squares() -> CheckResult:
         orders = table.element_orders()
         fours = [x for x in range(table.order) if orders[x] == 4]
         for s in fours:
-            cyc = set(generated_subgroup(table, [s]))
             s2 = table.product[s][s]
+            cyc = {0, s, s2, table.product[s][s2]}  # <s>, s of order 4
             for t in fours:
                 if t == s:
                     continue

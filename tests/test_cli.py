@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -249,8 +250,13 @@ def test_usage_errors():
     assert run_cli("candidates", "--delta", "4", "--format", "yaml")[0] == 2
 
 
+@functools.cache
 def argparse_oracle() -> argparse.ArgumentParser:
-    """The argparse parser the CLI used before its table-driven parser."""
+    """The argparse parser the CLI used before its table-driven parser.
+
+    Built once per session: ``parse_args`` reads the parser and never
+    changes it, so every example meets the same parser.
+    """
     parser = argparse.ArgumentParser(
         prog="groupcensus",
         description="Cyclic-subgroup census of small finite groups.")
@@ -489,6 +495,20 @@ def test_cli_import_loads_no_heavy_modules():
     assert "groupcensus.cli" in added
     assert not added & {"argparse", "gettext", "locale", "typing",
                         "dataclasses", "inspect", "json"}
+
+
+def test_cli_import_loads_no_expression_parser():
+    # only analyze parses an expression: cli imports the parser inside it,
+    # and the package resolves parse_group on first use
+    code = ("import sys, groupcensus.cli\n"
+            "print('groupcensus.expressions' in sys.modules)\n"
+            "from groupcensus import parse_group\n"
+            "print('groupcensus.expressions' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-S", "-c", code],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False", "True"]
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -421,9 +421,11 @@ def test_validator_matches_sorted_rows_oracle():
 
 def test_validator_accepts_and_returns_inverses(sample):
     n = sample.order
-    inverse = groups._validate_table(sample.product, n)
+    inverse, gens = groups._validate_table(sample.product, n)
     assert inverse == sample.inverse
     assert all(sample.product[x][inverse[x]] == 0 for x in range(n))
+    assert gens == sample._generators
+    assert len(generated_subgroup(sample, gens)) == n
 
 
 @pytest.mark.parametrize("rows", [
@@ -439,6 +441,20 @@ def test_entries_no_byte_holds_name_the_row(rows):
     with pytest.raises(GroupConstructionError,
                        match=rf"^row {x} is not a permutation of 0\.\.1$"):
         GroupTable(rows)
+
+
+@pytest.mark.parametrize("rows, n", [
+    ([1], 1),  # bytes(1) is one zero byte, the trivial group's one row
+    ([0], 1),  # bytes(0) is b"", a row of length 0
+    ([True], 1),
+    ([[0, 1], 2], 2),  # two zero bytes
+])
+def test_int_row_is_no_permutation(rows, n):
+    message = f"row {n - 1} is not a permutation of 0..{n - 1}"
+    with pytest.raises(GroupConstructionError) as err:
+        GroupTable(rows)
+    assert str(err.value) == message
+    assert str(groups._first_defect(rows, n)) == message
 
 
 def test_lagrange(sample):

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupcensus.catalog
-from groupcensus import (GroupTable, catalog_tables, conjugacy_classes,
-                         cyclic_extension, derived_subgroup, direct_product,
-                         extend_generator_map, generated_subgroup,
-                         generating_set, is_isomorphic, isomorphism_classes,
-                         make_cyclic, make_dicyclic, make_dihedral,
-                         make_symmetric, theorem_claims, verify_all)
+import groupcensus.verify
+from groupcensus import (MAX_ORDER, GroupTable, catalog_tables,
+                         conjugacy_classes, cyclic_extension, derived_subgroup,
+                         direct_product, extend_generator_map,
+                         generated_subgroup, generating_set, is_isomorphic,
+                         isomorphism_classes, make_cyclic, make_dicyclic,
+                         make_dihedral, make_quasidihedral, make_symmetric,
+                         theorem_claims, verify_all)
 from groupcensus import isomorphism
 from groupcensus.isomorphism import _element_keys, _partial_map, _profile
 from groupcensus.verify import _klein_by_c4, _q8_by_c2
@@ -228,6 +230,37 @@ def test_generating_set_generates():
     assert len(generating_set(klein4)) == 4
 
 
+def family_tables():
+    """Every cyclic, dihedral, dicyclic and quasidihedral table of order
+    up to 64."""
+    return ([make_cyclic(n) for n in range(1, MAX_ORDER + 1)]
+            + [make_dihedral(k) for k in range(2, MAX_ORDER + 1, 2)]
+            + [make_dicyclic(k) for k in range(8, MAX_ORDER + 1, 4)]
+            + [make_quasidihedral(k) for k in (16, 32, 64)])
+
+
+def test_kept_generating_set_generates_within_log2(catalog):
+    # the set Light's test grew: each element the least one outside the
+    # subgroup of those before it, so each at least doubles that subgroup
+    tables = [table for _entry, table, _report in catalog] + family_tables()
+    assert len(tables) == 74 + 64 + 32 + 15 + 3
+    for g in tables:
+        gens = generating_set(g)
+        assert gens == list(g._generators), g.name
+        assert len(generated_subgroup(g, gens)) == g.order, g.name
+        assert 2 ** len(gens) <= g.order, g.name
+        for k, x in enumerate(gens):
+            below = set(generated_subgroup(g, gens[:k]))
+            assert x == min(set(range(g.order)) - below), g.name
+
+
+def test_renamed_copies_the_generating_set():
+    g = direct_product(make_dicyclic(16), make_cyclic(2))
+    copy = g.renamed("copy")
+    assert copy._generators is g._generators
+    assert generating_set(copy) == generating_set(g) == [1, 2, 16]
+
+
 def test_extend_generator_map():
     g = make_symmetric(3)
     gens = generating_set(g)
@@ -400,6 +433,7 @@ def test_verify_all_computes_each_cheap_key_once(monkeypatch):
     # the full profiles ask for the keys of the same tables again
     groupcensus.catalog.load_catalog.cache_clear()
     groupcensus.catalog._built_order.cache_clear()
+    groupcensus.verify._built.cache_clear()
     calls = []
     plain = isomorphism._cheap_key
 
@@ -410,7 +444,7 @@ def test_verify_all_computes_each_cheap_key_once(monkeypatch):
     monkeypatch.setattr(isomorphism, "_cheap_key", counted)
     assert verify_all().passed
     computed = [g for g, fresh in calls if fresh]
-    assert len(computed) == len({id(g) for g, _fresh in calls}) == 108
+    assert len(computed) == len({id(g) for g, _fresh in calls}) == 103
     assert len(calls) > len(computed)
 
 

@@ -7,10 +7,25 @@ import groupcensus.catalog
 import groupcensus.verify
 from groupcensus import (CatalogError, SurvivorReport, catalog_tables,
                          catalog_validate, census, explore, is_isomorphic,
-                         known_groups_for, property_suite, revised_table,
-                         theorem_claims, verify_all, verify_theorem)
-from groupcensus.groups import generated_subgroup, make_dihedral
+                         known_groups_for, parse_group, property_suite,
+                         revised_table, theorem_claims, verify_all,
+                         verify_theorem)
+from groupcensus.groups import generated_subgroup, make_cyclic, make_dihedral
 from groupcensus.verify import _least_generators_by_subgroup
+
+
+def test_only_verify_shares_tables():
+    assert verify_all().passed
+    # verify builds each named construction once per process ...
+    recipes = {r.label: r for c in theorem_claims() for r in c.groups}
+    for label in ("D8", "C2xC2xD8", "Q8"):
+        assert recipes[label].build() is recipes[label].build(), label
+    # ... but no library caller, and so no census operation, reads one
+    assert parse_group("D8") is not parse_group("D8")
+    assert make_cyclic(4) is not make_cyclic(4)
+    assert make_dihedral(8) is not make_dihedral(8)
+    for text in ("D8", "C4 x C2", "C2 x C2 x D8"):
+        assert parse_group(text)._orders is None, text
 
 
 def test_claim_lists():
