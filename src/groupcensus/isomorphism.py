@@ -5,10 +5,10 @@ cannot separate fall to a backtracking search that maps a generating set
 of one group into the other, pruned by per-element invariants and by
 closing each partial map.  The generating set is the one the table kept
 from its validation (``groups._light_generators``): at most log2 n
-elements, found at no extra cost.  The invariants come in two tiers: a cheap key
-(order, element-order histogram, square-root histogram) and the full
-profile, which adds the sizes of the centre, the derived subgroup and the
-conjugacy classes.  ``isomorphism_classes`` computes a full profile only
+elements, found at no extra cost.  The invariants come in two tiers: a
+cheap key (order, element-order histogram, square-root histogram) and the
+full profile, which adds the sizes of the centre, the derived subgroup and
+the conjugacy classes.  ``isomorphism_classes`` computes a full profile only
 for a table whose cheap key another table shares.
 
 The invariants are read off byte vectors, so their scans run in C:
@@ -175,8 +175,8 @@ def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
     """Whether two group tables are isomorphic.
 
     After the invariants, the search maps the generating set a kept from
-    its validation into b one generator at a time, each onto an element with its per-element
-    keys.  It closes each partial map over the subgroup the assigned
+    its validation into b one generator at a time, each onto an element
+    with its per-element keys.  It closes each partial map over the subgroup the assigned
     generators span and backtracks on the first clash, so a map that
     reaches the last generator is an isomorphism.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Callable
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 
 from .catalog import MAX_CATALOG_ORDER, catalog_tables, catalog_validate
@@ -55,16 +55,9 @@ def _built(make: Callable[..., GroupTable], *args: object) -> GroupTable:
     return make(*args)
 
 
-def _cyclic(n: int) -> GroupTable:
-    return _built(make_cyclic, n)
-
-
-def _dihedral(n: int) -> GroupTable:
-    return _built(make_dihedral, n)
-
-
-def _dicyclic(n: int) -> GroupTable:
-    return _built(make_dicyclic, n)
+_cyclic = partial(_built, make_cyclic)
+_dihedral = partial(_built, make_dihedral)
+_dicyclic = partial(_built, make_dicyclic)
 
 
 def _product(*factors: GroupTable) -> GroupTable:
