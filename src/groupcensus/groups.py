@@ -23,6 +23,7 @@ from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
 MAX_ORDER = 64
+MAX_MOVED_POINTS = 4096  # the points a perm[...] text may move
 _DOUBLED = bytes(range(256)) * 2  # _shifted's windows; [:n] is 0..n-1
 _ZEROS = bytes(MAX_ORDER)  # the 0 that _validate_table finds in each row
 
@@ -47,12 +48,16 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     in ascending order, so the cost follows the length of the text and
     not the largest point; fixed points and renumbering change neither
     the group nor the table ``from_permutations`` builds.  Empty chunks
-    are skipped, so a blank text gives no generators.
+    are skipped, so a blank text gives no generators.  Over
+    ``MAX_MOVED_POINTS`` moved points raise ValueError.
     """
     chunks = [c.strip() for c in text.split(";")]
     gens = [_moving_cycles(_parse_cycle_text(c)) for c in chunks if c]
     moved = sorted({p for cycles in gens for cycle in cycles
                     for p in cycle})
+    if len(moved) > MAX_MOVED_POINTS:
+        raise ValueError(f"generators move {len(moved)} points, more than"
+                         f" {MAX_MOVED_POINTS}")
     label = {p: i for i, p in enumerate(moved)}
     out = []
     for cycles in gens:
@@ -122,7 +127,7 @@ class GroupTable:
         # the trivial group, since at n >= 2 a zero row is no permutation
         if rows is None or n == 1 and hasattr(product[0], "__index__"):
             raise _first_defect(product, n)
-        self.inverse, self._generators = _validate_table(rows, n)
+        self.inverse, self._generators = _validate_table(rows, n, product)
         self.order = n
         self.product = rows
         self.name = name
@@ -159,26 +164,13 @@ class GroupTable:
             self._orders = tuple(orders)
         return self._orders
 
-    def renamed(self, name: str) -> "GroupTable":
-        clone = GroupTable.__new__(GroupTable)
-        clone.order = self.order
-        clone.product = self.product
-        clone.inverse = self.inverse
-        clone.name = name
-        clone._generators = self._generators
-        clone._orders = self._orders
-        clone._abelian = self._abelian
-        clone._cheap = self._cheap
-        clone._profile = self._profile
-        clone._classes = self._classes
-        return clone
-
     def __repr__(self) -> str:
         return f"GroupTable({self.name!r}, order={self.order})"
 
 
-def _validate_table(rows: tuple[bytes, ...],
-                    n: int) -> tuple[bytes, tuple[int, ...]]:
+def _validate_table(rows: tuple[bytes, ...], n: int,
+                    product: Sequence[Sequence[int]] | None = None,
+                    ) -> tuple[bytes, tuple[int, ...]]:
     """Check the group axioms on a table of n rows; return the inverses and
     the generating set that Light's test grew.
 
@@ -196,7 +188,8 @@ def _validate_table(rows: tuple[bytes, ...],
     permutations, though no check asked for that: Light's argument never
     uses it.
 
-    A rejected table goes to ``_first_defect``, which names the defect.
+    A rejected table goes to ``_first_defect``, which names the defect
+    from ``product``, the caller's rows before ``bytes()`` (default rows).
     """
     flat = b"".join(rows)
     ident = _DOUBLED[:n]
@@ -209,17 +202,18 @@ def _validate_table(rows: tuple[bytes, ...],
         gens = _light_generators(rows, n)
         if _light_pair(rows, gens) is None:
             return inverse, gens
-    raise _first_defect(rows, n)
+    raise _first_defect(rows if product is None else product, n)
 
 
-def _first_defect(rows: Sequence[Sequence[int]],
+def _first_defect(product: Sequence[Sequence[int]],
                   n: int) -> GroupConstructionError:
     """The error for a table that is no group, naming its first defect in
     the order rows (length, then permutation of 0..n-1), identity,
     associativity; a row that is an int, or whose entries are not all ints
     in 0..255, is no permutation."""
     ident = _DOUBLED[:n]
-    for x, row in enumerate(rows):
+    rows = []
+    for x, row in enumerate(product):
         try:
             if hasattr(row, "__index__"):  # bytes(k) is k zero bytes
                 raise TypeError
@@ -227,6 +221,7 @@ def _first_defect(rows: Sequence[Sequence[int]],
         except (TypeError, ValueError):
             return GroupConstructionError(
                 f"row {x} is not a permutation of 0..{n - 1}")
+        rows.append(row)
         if len(row) != n:
             return GroupConstructionError(
                 f"row {x} has length {len(row)}, expected {n}")
@@ -250,6 +245,9 @@ def _light_generators(rows: tuple[bytes, ...], n: int) -> tuple[int, ...]:
     In a group the reached set is the subgroup S generates, so S generates
     the group, and each new element at least doubles the subgroup, so
     |S| <= log2 n.
+
+    It runs on every table build, so it keeps one mark per element rather
+    than call ``_closure``, which would carry the identity map's images.
     """
     gens: list[int] = []
     reached = bytearray(n)
@@ -305,17 +303,38 @@ def generated_subgroup(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     for x in seeds:
         if not 0 <= x < g.order:
             raise ValueError(f"element index {x} out of range for order {g.order}")
-    marked = bytearray(g.order)
-    marked[0] = 1
-    members = [0]
-    for e in members:  # grows while it is walked
-        row = g.product[e]
-        for s in seeds:
-            t = row[s]
-            if not marked[t]:
-                marked[t] = 1
-                members.append(t)
-    return tuple(sorted(members))
+    image = _closure(g.product, g.product, [(s, s) for s in seeds])
+    return tuple(x for x, y in enumerate(image) if y >= 0)
+
+
+def _closure(src_rows: Sequence[bytes], dst_rows: Sequence[bytes],
+             pairs: Sequence[tuple[int, int]]) -> list[int] | None:
+    """The images of the map sending 0 to 0 and each s to t, (s, t) in
+    pairs, closed under image(x s) = image(x) t, with -1 outside the
+    subgroup the s generate; None when two words for one element get
+    different images, or two elements one image.  Right multiplication by
+    the s reaches that whole subgroup, since in a finite group every
+    inverse is a power: s^-1 = s^(k-1) for s of order k.
+    """
+    image = [-1] * len(src_rows)
+    image[0] = 0
+    used = bytearray(len(dst_rows))
+    used[0] = 1
+    domain = [0]
+    for x in domain:  # grows while it is walked
+        row, image_row = src_rows[x], dst_rows[image[x]]
+        for s, t in pairs:
+            y, fy = row[s], image_row[t]
+            known = image[y]
+            if known < 0:
+                if used[fy]:
+                    return None
+                image[y] = fy
+                used[fy] = 1
+                domain.append(y)
+            elif known != fy:
+                return None
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +409,7 @@ def make_symmetric(n: int) -> GroupTable:
     if not 1 <= n <= 4:
         raise ValueError(f"symmetric group supported for degree 1..4, got {n}")
     if n == 1:
-        return make_cyclic(1).renamed("S1")
+        return GroupTable((b"\x00",), name="S1")
     # the n-cycle (0 1 ... n-1) and the transposition (0 1)
     return from_permutations([(*range(1, n), 0), (1, 0, *range(2, n))],
                              name=f"S{n}")
@@ -401,7 +420,7 @@ def make_alternating(n: int) -> GroupTable:
     if not 1 <= n <= 4:
         raise ValueError(f"alternating group supported for degree 1..4, got {n}")
     if n <= 2:
-        return make_cyclic(1).renamed(f"A{n}")
+        return GroupTable((b"\x00",), name=f"A{n}")
     if n == 3:
         return from_permutations([(1, 2, 0)], name="A3")
     # (0 1 2) and (1 2 3)
@@ -433,9 +452,7 @@ def from_permutations(gens: Sequence[Sequence[int]],
     Elements are indexed in breadth-first discovery order with the identity
     first, so the result is deterministic in the generator order.
     """
-    if not gens:
-        return make_cyclic(1).renamed(name)
-    degree = len(gens[0])
+    degree = len(gens[0]) if gens else 0
     points = list(range(degree))
     for p in gens:
         if len(p) != degree:
@@ -443,8 +460,8 @@ def from_permutations(gens: Sequence[Sequence[int]],
         if sorted(p) != points:
             raise ValueError(f"images {tuple(p)} are not a bijection of"
                              f" 0..{degree - 1}")
-    if degree <= 1:  # trivial; itemgetter of one index returns no tuple
-        return make_cyclic(1).renamed(name)
+    if degree <= 1:  # no generators, or one point: itemgetter(0) is no tuple
+        return GroupTable((b"\x00",), name=name)
     # close over raw image tuples; compose[k](e) = (e[p[0]], e[p[1]], ...)
     # is e after p = gens[k], taken in C by one itemgetter per generator.
     # The closure is the right Cayley graph: right[k][e] is the index of

@@ -3,13 +3,15 @@
 Invariants settle every pair of distinct catalog groups; the pairs they
 cannot separate fall to a backtracking search that maps a generating set
 of one group into the other, pruned by per-element invariants and by
-closing each partial map.  The generating set is the one the table kept
-from its validation (``groups._light_generators``): at most log2 n
-elements, found at no extra cost.  The invariants come in two tiers: a
-cheap key (order, element-order histogram, square-root histogram) and the
-full profile, which adds the sizes of the centre, the derived subgroup and
-the conjugacy classes.  ``isomorphism_classes`` computes a full profile only
-for a table whose cheap key another table shares.
+closing each partial map through ``groups._closure``, the routine that
+also closes ``generated_subgroup``.  The generating set is the one the
+table kept from its validation (``groups._light_generators``): at most
+log2 n elements, found at no extra cost.  The invariants come in two
+tiers: a cheap key (order, element-order histogram, square-root
+histogram) and the full profile, which adds the sizes of the centre, the
+derived subgroup and the conjugacy classes.  ``isomorphism_classes``
+computes a full profile only for a table whose cheap key another table
+shares.
 
 The invariants are read off byte vectors, so their scans run in C:
 column y of the table is ``b"".join(rows)[y::n]``, the squares x*x are
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from .groups import GroupTable, generated_subgroup
+from .groups import GroupTable, _closure, generated_subgroup
 
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """Subgroup generated by all commutators."""
@@ -76,38 +78,6 @@ def generating_set(g: GroupTable) -> list[int]:
     return list(g._generators)
 
 
-def _partial_map(src: GroupTable, dst: GroupTable,
-                 images: dict[int, int]) -> dict[int, int] | None:
-    """The injective homomorphism images defines on the subgroup it spans.
-
-    Closes the map breadth-first over the subgroup of src that the mapped
-    elements generate.  Returns it as {element: image}, or None when two
-    words for one element get different images or two elements one image.
-    """
-    mapping: dict[int, int] = {0: 0}
-    mapping.update(images)
-    used = set(mapping.values())
-    if len(used) != len(mapping):
-        return None
-    frontier = list(mapping)
-    while frontier:
-        x = frontier.pop()
-        fx = mapping[x]
-        for gen, fgen in images.items():
-            y = src.product[x][gen]
-            fy = dst.product[fx][fgen]
-            known = mapping.get(y)
-            if known is None:
-                if fy in used:
-                    return None
-                mapping[y] = fy
-                used.add(fy)
-                frontier.append(y)
-            elif known != fy:
-                return None
-    return mapping
-
-
 def extend_generator_map(src: GroupTable, dst: GroupTable,
                          images: dict[int, int]) -> list[int] | None:
     """Extend generator images to a full homomorphism src -> dst.
@@ -117,10 +87,10 @@ def extend_generator_map(src: GroupTable, dst: GroupTable,
     The extension is injective-checked, so a non-None result of a map
     between groups of equal order is a full isomorphism.
     """
-    mapping = _partial_map(src, dst, images)
-    if mapping is None or len(mapping) != src.order:
+    image = _closure(src.product, dst.product, list(images.items()))
+    if image is None or -1 in image:
         return None
-    return [mapping[x] for x in range(src.order)]
+    return image
 
 
 def _cheap_key(g: GroupTable) -> tuple:
@@ -176,9 +146,10 @@ def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
 
     After the invariants, the search maps the generating set a kept from
     its validation into b one generator at a time, each onto an element
-    with its per-element keys.  It closes each partial map over the subgroup the assigned
-    generators span and backtracks on the first clash, so a map that
-    reaches the last generator is an isomorphism.
+    with its per-element keys.  It closes each partial map over the
+    subgroup the assigned generators span with ``groups._closure`` and
+    backtracks on the first clash, so a map that reaches the last
+    generator is an isomorphism.
     """
     if a.order != b.order:
         return False
@@ -190,18 +161,18 @@ def is_isomorphic(a: GroupTable, b: GroupTable) -> bool:
     candidates = [[y for y in range(b.order) if b_keys[y] == a_keys[gen]]
                   for gen in gens]
 
-    def search(depth: int, images: dict[int, int]) -> bool:
+    def search(depth: int, pairs: list[tuple[int, int]]) -> bool:
         if depth == len(gens):
             return True
         for y in candidates[depth]:
-            images[gens[depth]] = y
-            if (_partial_map(a, b, images) is not None
-                    and search(depth + 1, images)):
+            pairs.append((gens[depth], y))
+            if (_closure(a.product, b.product, pairs) is not None
+                    and search(depth + 1, pairs)):
                 return True
-            del images[gens[depth]]
+            pairs.pop()
         return False
 
-    return search(0, {})
+    return search(0, [])
 
 
 def isomorphism_classes(tables: Sequence[GroupTable]) -> list[int]:

@@ -16,13 +16,13 @@ constructors build every table afresh.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable
 from functools import cache, lru_cache, partial
 from itertools import combinations
 
 from .catalog import MAX_CATALOG_ORDER, catalog_tables, catalog_validate
-from .census import census, euler_phi
+from .census import census, count_solutions, euler_phi
 from .exclusion import admissible_orders, revised_table
 from .groups import (GroupTable, InvalidActionError, cyclic_extension,
                      direct_product, generated_subgroup, make_alternating,
@@ -327,26 +327,19 @@ def _check_odd_4_count() -> CheckResult:
                        f"witnesses: {', '.join(witnesses)}")
 
 
-def _least_generators_by_subgroup(table: GroupTable) -> list[int]:
-    reps: dict[tuple[int, ...], int] = {}
-    orders = table.element_orders()
-    for x in range(table.order):
-        if orders[x] <= 2:
-            continue
-        members = generated_subgroup(table, [x])
-        reps.setdefault(members, x)
-    return sorted(reps.values())
-
-
 def _check_sigma_generators_index() -> CheckResult:
     # the subgroup generated by one representative of each cyclic subgroup
-    # of order > 2 has index 1 or 2 (for nonempty sigma, i.e. delta >= 1)
+    # of order > 2 has index 1 or 2 (for nonempty sigma, i.e. delta >= 1);
+    # every element of order > 2 is a power of its cyclic subgroup's
+    # representative, so all of them generate the same subgroup
     checked = 0
     for entry, table, rep in catalog_tables():
         if not 1 <= rep.delta <= 5:
             continue
-        gens = _least_generators_by_subgroup(table)
-        index = table.order // len(generated_subgroup(table, gens))
+        orders = table.element_orders()
+        sub = generated_subgroup(
+            table, [x for x in range(table.order) if orders[x] > 2])
+        index = table.order // len(sub)
         if index not in (1, 2):
             return CheckResult(
                 "sigma_generators_index", False,
@@ -358,15 +351,13 @@ def _check_sigma_generators_index() -> CheckResult:
 
 
 def _check_frobenius() -> CheckResult:
-    # the number of solutions of x^n = 1 is a multiple of n for n | |G|;
-    # x^n = 1 exactly when the order of x divides n (as in count_solutions)
+    # the number of solutions of x^n = 1 is a multiple of n for n | |G|
     checked = 0
     for entry, table, _rep in catalog_tables():
-        orders = Counter(table.element_orders()).items()
         for n in range(1, entry.order + 1):
             if entry.order % n:
                 continue
-            solutions = sum(count for d, count in orders if n % d == 0)
+            solutions = count_solutions(table, n)
             if solutions % n:
                 return CheckResult(
                     "frobenius_divisibility", False,

@@ -76,6 +76,22 @@ def test_analyze_perm_cost_follows_the_text():
     assert run_cli("analyze", "perm[(0 99999999999999999999)]") == expected
 
 
+def test_analyze_perm_moved_points_are_capped(capsys):
+    # a 5.8 MB text moving 400,000 points took 2.8 s and 262 MB before the
+    # closure bound stopped it; the cap stops it once the text is read
+    pairs = "".join(f"({2 * i} {2 * i + 1})" for i in range(2048))
+    code, text = run_cli("analyze", f"perm[{pairs}]")  # C2 on 4,096 points
+    assert code == 0
+    assert "order: 2\n" in text
+    start = time.perf_counter()
+    code, text = run_cli("analyze",
+                         "perm[(" + " ".join(map(str, range(4097))) + ")]")
+    assert time.perf_counter() - start < 0.5
+    assert (code, text) == (2, "")
+    assert "generators move 4097 points, more than 4096" in (
+        capsys.readouterr().err)
+
+
 def test_analyze_parse_error_is_usage_error():
     for expr in ("C100", "notagroup", "C" + "9" * 5000, "C4xC4xC4xC4"):
         code, _ = run_cli("analyze", expr)

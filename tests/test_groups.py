@@ -448,6 +448,7 @@ def test_entries_no_byte_holds_name_the_row(rows):
     ([0], 1),  # bytes(0) is b"", a row of length 0
     ([True], 1),
     ([[0, 1], 2], 2),  # two zero bytes
+    ([[0, 1], 5], 2),  # five zero bytes, no row of length 5
 ])
 def test_int_row_is_no_permutation(rows, n):
     message = f"row {n - 1} is not a permutation of 0..{n - 1}"

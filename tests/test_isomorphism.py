@@ -4,7 +4,9 @@
 oracle it replaced in catalog validation and the claim sweeps, and
 ``is_isomorphic``, which closes each partial generator map, against
 ``leaf_search_oracle``, the search it replaced, which tries a map only
-once every generator has an image.
+once every generator has an image.  ``groups._closure``, which closes
+those maps, is checked against ``partial_map_oracle``, the dict-and-set
+closure it replaced.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from groupcensus import (MAX_ORDER, GroupTable, catalog_tables,
                          make_dihedral, make_quasidihedral, make_symmetric,
                          theorem_claims, verify_all)
 from groupcensus import isomorphism
-from groupcensus.isomorphism import _element_keys, _partial_map, _profile
+from groupcensus.groups import _closure
+from groupcensus.isomorphism import _element_keys, _profile
 from groupcensus.verify import _klein_by_c4, _q8_by_c2
 
 
@@ -47,6 +50,37 @@ def profile_twins():
     the square-root histogram."""
     return [(direct_product(make_dicyclic(8), make_cyclic(2)), c4_by_c4()),
             (_klein_by_c4(), _q8_by_c2())]
+
+
+def partial_map_oracle(src, dst, images):
+    """The injective homomorphism images defines on the subgroup it spans.
+
+    Closes the map breadth-first over the subgroup of src that the mapped
+    elements generate.  Returns it as {element: image}, or None when two
+    words for one element get different images or two elements one image.
+    """
+    mapping = {0: 0}
+    mapping.update(images)
+    used = set(mapping.values())
+    if len(used) != len(mapping):
+        return None
+    frontier = list(mapping)
+    while frontier:
+        x = frontier.pop()
+        fx = mapping[x]
+        for gen, fgen in images.items():
+            y = src.product[x][gen]
+            fy = dst.product[fx][fgen]
+            known = mapping.get(y)
+            if known is None:
+                if fy in used:
+                    return None
+                mapping[y] = fy
+                used.add(fy)
+                frontier.append(y)
+            elif known != fy:
+                return None
+    return mapping
 
 
 def leaf_search_oracle(a, b):
@@ -214,8 +248,7 @@ def test_invariant_kernels_match_pair_loops(catalog, claim_tables,
         assert conjugacy_classes(g) == conjugacy_classes_oracle(g), g.name
         assert derived_subgroup(g) == derived_subgroup_oracle(g), g.name
         assert _element_keys(g) == element_keys_oracle(g), g.name
-        fresh = g.renamed(g.name)
-        fresh._profile = None
+        fresh = GroupTable(g.product, g.name)
         assert _profile(fresh)[2:4] == (len(center_oracle(g)),
                                         len(derived_subgroup_oracle(g)))
 
@@ -254,13 +287,6 @@ def test_kept_generating_set_generates_within_log2(catalog):
             assert x == min(set(range(g.order)) - below), g.name
 
 
-def test_renamed_copies_the_generating_set():
-    g = direct_product(make_dicyclic(16), make_cyclic(2))
-    copy = g.renamed("copy")
-    assert copy._generators is g._generators
-    assert generating_set(copy) == generating_set(g) == [1, 2, 16]
-
-
 def test_extend_generator_map():
     g = make_symmetric(3)
     gens = generating_set(g)
@@ -277,9 +303,41 @@ def test_extend_generator_map_needs_generators():
     # its own subgroup, which is not all of S3
     g = make_symmetric(3)
     three = next(x for x in range(6) if g.element_orders()[x] == 3)
-    assert sorted(_partial_map(g, g, {three: three}).items()) == \
+    assert sorted(partial_map_oracle(g, g, {three: three}).items()) == \
         [(x, x) for x in generated_subgroup(g, [three])]
     assert extend_generator_map(g, g, {three: three}) is None
+
+
+def closure_cases(g, rnd):
+    """Image dicts for maps out of g: the identity on each generating set
+    and random images, most of them no homomorphism, of random seeds."""
+    n = g.order
+    yield {x: x for x in generating_set(g)}
+    yield {x: x for x in range(1, n)}
+    for _ in range(12):
+        seeds = rnd.sample(range(n), rnd.randint(0, min(3, n)))
+        yield {s: rnd.randrange(n) for s in seeds}
+
+
+def test_closure_matches_partial_map_oracle(catalog):
+    # the same domain and images, and None on the same inputs, for maps
+    # of every catalog table into itself and into a relabelled copy
+    rnd = random.Random(27)
+    outcomes = set()
+    for _entry, g, _report in catalog:
+        images = [0, *rnd.sample(range(1, g.order), g.order - 1)]
+        for dst in (g, relabelled(g, images)):
+            for case in closure_cases(g, rnd):
+                expected = partial_map_oracle(g, dst, case)
+                found = _closure(g.product, dst.product, list(case.items()))
+                if expected is None:
+                    assert found is None, (g.name, case)
+                else:
+                    assert {x: y for x, y in enumerate(found) if y >= 0} \
+                        == expected, (g.name, case)
+                outcomes.add((expected is None,
+                              expected is not None and len(expected) == g.order))
+    assert outcomes == {(True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +368,6 @@ def test_classes_see_through_relabelled_twins(images_a, images_b, order):
         shuffled = [tables[k] for k in order]
         keys = dict(zip(order, assert_classes_match_oracle(shuffled)))
         assert keys[0] == keys[2] != keys[1] == keys[3]
-
-
-def test_profile_cache_is_shared_by_renamed_copies():
-    g = make_dicyclic(16)
-    assert isomorphism_classes([g, g.renamed("Q16 again")]) == [0, 0]
-    assert g.renamed("copy")._profile is g._profile is not None
 
 
 def test_classes_of_no_tables():
@@ -447,8 +499,3 @@ def test_verify_all_computes_each_cheap_key_once(monkeypatch):
     assert len(computed) == len({id(g) for g, _fresh in calls}) == 103
     assert len(calls) > len(computed)
 
-
-def test_cheap_key_is_shared_by_renamed_copies():
-    g = make_dicyclic(16)
-    key = isomorphism._cheap_key(g)
-    assert g.renamed("copy")._cheap is key is g._cheap is not None

@@ -11,7 +11,6 @@ from groupcensus import (CatalogError, SurvivorReport, catalog_tables,
                          revised_table, theorem_claims, verify_all,
                          verify_theorem)
 from groupcensus.groups import generated_subgroup, make_cyclic, make_dihedral
-from groupcensus.verify import _least_generators_by_subgroup
 
 
 def test_only_verify_shares_tables():
@@ -86,6 +85,36 @@ def test_failed_claim_detail_names_both_signatures(monkeypatch):
     assert claim.detail == "expected delta 1 sigma (4), got delta 1 sigma (3)"
 
 
+def test_isomorphic_claims_fail_distinctness(monkeypatch):
+    claims = theorem_claims()
+    *rest, d12 = claims[1].groups
+    assert d12.label == "D12"
+    twin = claims[1]._replace(groups=(*rest, d12._replace(
+        build=lambda: make_cyclic(6))))
+    monkeypatch.setattr(groupcensus.verify, "theorem_claims",
+                        lambda: [claims[0], twin, *claims[2:]])
+    report = verify_theorem(2)
+    assert not report.passed
+    (check,) = [c for c in report.sweep if c.name == "delta2_claims_distinct"]
+    assert not check.passed
+    assert check.detail == "C6 is isomorphic to D12"
+
+
+def test_missing_claim_fails_catalog_sweep(monkeypatch):
+    claims = theorem_claims()
+    *rest, d16 = claims[3].groups
+    assert d16.label == "D16"
+    short = claims[3]._replace(groups=tuple(rest))
+    monkeypatch.setattr(groupcensus.verify, "theorem_claims",
+                        lambda: [*claims[:3], short, claims[4]])
+    report = verify_theorem(4)
+    assert not report.passed
+    (check,) = [c for c in report.sweep if c.name == "delta4_catalog_sweep"]
+    assert not check.passed
+    assert check.detail == ("catalog has 10 groups with delta 4, claims of"
+                            " order <= 24: 9")
+
+
 def test_verify_theorem_rejects_bad_delta():
     with pytest.raises(ValueError):
         verify_theorem(6)
@@ -108,13 +137,44 @@ def test_property_suite():
         "frobenius_divisibility", "order4_conjugation_squares"]
 
 
+def least_generators_by_subgroup(table):
+    """The least generator of each cyclic subgroup of order > 2, as the
+    sigma_generators_index check took them before it passed every element
+    of order > 2 to one closure."""
+    reps = {}
+    orders = table.element_orders()
+    for x in range(table.order):
+        if orders[x] <= 2:
+            continue
+        members = generated_subgroup(table, [x])
+        reps.setdefault(members, x)
+    return sorted(reps.values())
+
+
 def test_sigma_generator_subgroup_of_d12():
     # sigma(D12) = (3, 6); its representatives generate the rotation C6
     d12 = make_dihedral(12)
-    gens = _least_generators_by_subgroup(d12)
+    gens = least_generators_by_subgroup(d12)
     sub = generated_subgroup(d12, gens)
     assert len(sub) == 6
     assert d12.order // len(sub) == 2
+
+
+def test_sigma_generators_span_what_all_elements_of_order_above_2_span(
+        catalog):
+    # each element of order > 2 is a power of its cyclic subgroup's least
+    # generator, so the check's one closure over all of them gives the
+    # subgroup of the representatives
+    checked = 0
+    for _entry, table, rep in catalog:
+        if not 1 <= rep.delta <= 5:
+            continue
+        orders = table.element_orders()
+        above_2 = [x for x in range(table.order) if orders[x] > 2]
+        assert generated_subgroup(table, above_2) == generated_subgroup(
+            table, least_generators_by_subgroup(table)), table.name
+        checked += 1
+    assert checked == 24
 
 
 # ---------------------------------------------------------------------------
