@@ -13,8 +13,7 @@ from .candidates import (Candidate, CandidateRow, enumerate_candidates,
 from .catalog import (CatalogEntry, CatalogError, EXPECTED_GROUP_COUNTS,
                       MAX_CATALOG_ORDER, catalog_search, catalog_tables,
                       catalog_validate, load_catalog)
-from .census import (CensusReport, census, count_solutions, euler_phi,
-                     phi_inverse)
+from .census import CensusReport, census, count_solutions, euler_phi
 from .exclusion import (ExclusionRule, RECORDED_JUSTIFICATIONS, RULES,
                         Verdict, apply_rules, revised_table)
 from .groups import (GroupConstructionError, GroupTable, InvalidActionError,
@@ -57,6 +56,6 @@ __all__ = [
     "is_isomorphic", "isomorphism_classes", "known_groups_for",
     "load_catalog", "make_alternating", "make_cyclic", "make_dicyclic",
     "make_dihedral", "make_quasidihedral", "make_symmetric",
-    "parse_generators", "parse_group", "phi_inverse", "property_suite",
-    "revised_table", "theorem_claims", "verify_all", "verify_theorem",
+    "parse_generators", "parse_group", "property_suite", "revised_table",
+    "theorem_claims", "verify_all", "verify_theorem",
 ]

@@ -4,7 +4,8 @@ Each cyclic-subgroup order d > 2 contributes n_d * (phi(d) - 1) to delta,
 and phi(d) - 1 is odd for d > 2.  So the possible signatures for a given
 delta are the multisets {d: n_d} with sum n_d * (phi(d) - 1) = delta.
 They are enumerated as sorted entry tuples, already in lexicographic order,
-by a depth-first search over the orders d with phi(d) - 1 <= delta that a
+by a depth-first search over the orders d with phi(d) - 1 <= delta (all at
+most (delta + 1)^2, as phi(d) >= sqrt(d) for every d but 2 and 6) that a
 table of reachable totals prunes to the branches that end in a signature.
 
 The classical tables group the signatures by an integer partition of
@@ -19,7 +20,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
 
-from .census import euler_phi, phi_inverse
+from .census import euler_phi
 
 MAX_DELTA = 16
 
@@ -87,14 +88,13 @@ def enumerate_candidates(delta: int) -> list[Candidate]:
     that end in a signature, each signature once, and nothing is sorted.
     """
     _check_delta(delta)
-    orders = sorted(d for m in range(1, delta + 1, 2)
-                    for d in phi_inverse(m + 1))
-    # every entry below is orders[j], j at least the index of the entry
-    # before it, so strictly ascending orders above 2 make every emitted
-    # tuple a sorted signature above 2, each once: checked here, not per
-    # candidate
-    if any(a >= b for a, b in zip((2, *orders), orders)):
-        raise ValueError(f"candidate orders must ascend above 2: {orders}")
+    # phi(d)/sqrt(d) is the product over p^k || d of p^(k/2 - 1) (p - 1):
+    # 1/sqrt(2) for 2, 2/sqrt(3) for 3, at least 1 for 4 | d and 4/sqrt(5) >
+    # sqrt(2) for any other odd p^k, so d <= phi(d)^2 <= (delta + 1)^2 but at
+    # d = 2 and 6.  Each entry below is orders[j], j at least the index of
+    # the one before, so the ascending scan emits sorted signatures, each once.
+    orders = [d for d in range(3, max(7, (delta + 1) ** 2 + 1))
+              if _weight(d) <= delta]
     weights = [_weight(d) for d in orders]
     # an unbounded knapsack over the suffixes of orders, from the last one
     reach = [frozenset((0,))]

@@ -10,7 +10,6 @@ delta.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, namedtuple
 
 from .groups import GroupTable
@@ -32,40 +31,6 @@ def euler_phi(d: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def phi_inverse(m: int) -> list[int]:
-    """All d with phi(d) = m, ascending.
-
-    phi(p^k) = p^(k-1) (p-1) and phi is multiplicative, so every prime p
-    dividing such a d has (p-1) | m.  The recursion picks those primes in
-    increasing order, each with its exponent, until the remaining totient
-    is 1 (Alekseyev, J. Integer Sequences 19, 2016).  Empty for odd m > 1
-    since the totient is even past d = 2.
-    """
-    if m < 1:
-        raise ValueError(f"totient value must be positive, got {m}")
-    divisors = [k for k in range(1, math.isqrt(m) + 1) if m % k == 0]
-    divisors += [m // k for k in reversed(divisors) if k * k != m]
-    primes = [k + 1 for k in divisors if euler_phi(k + 1) == k]
-
-    def solutions(rest: int, start: int) -> list[int]:
-        # every d with phi(d) = rest whose prime factors are in primes[start:]
-        out = [1] if rest == 1 else []
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if rest % (p - 1):
-                continue
-            rest_p, p_power = rest // (p - 1), p
-            while True:
-                out += [p_power * d for d in solutions(rest_p, i + 1)]
-                if rest_p % p:
-                    break
-                rest_p //= p
-                p_power *= p
-        return out
-
-    return sorted(solutions(m, 0))
 
 
 class CensusReport(namedtuple("CensusReport", "group_order n_d total_cyclic"

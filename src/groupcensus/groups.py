@@ -40,6 +40,9 @@ class InvalidActionError(ValueError):
 # permutations, stored as image tuples: p maps point i to p[i]
 
 
+_CYCLE = re.compile(r"\(([0-9 ]*)\)\s*")
+
+
 def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse ``;``-separated cycle strings like ``(0 1 2)(3 4)`` into image
     tuples.
@@ -48,17 +51,43 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     in ascending order, so the cost follows the length of the text and
     not the largest point; fixed points and renumbering change neither
     the group nor the table ``from_permutations`` builds.  Empty chunks
-    are skipped, so a blank text gives no generators.  Over
-    ``MAX_MOVED_POINTS`` moved points raise ValueError.
+    are skipped, so a blank text gives no generators.  Each point is
+    checked as it is read, and the first to take the generators past
+    ``MAX_MOVED_POINTS`` moved points raises ValueError, with no later
+    point read.
     """
-    chunks = [c.strip() for c in text.split(";")]
-    gens = [_moving_cycles(_parse_cycle_text(c)) for c in chunks if c]
-    moved = sorted({p for cycles in gens for cycle in cycles
-                    for p in cycle})
-    if len(moved) > MAX_MOVED_POINTS:
-        raise ValueError(f"generators move {len(moved)} points, more than"
-                         f" {MAX_MOVED_POINTS}")
-    label = {p: i for i, p in enumerate(moved)}
+    gens = []
+    moved: set[int] = set()
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        stripped = chunk.replace(",", " ").strip()
+        cycles: list[list[int]] = []
+        seen: set[int] = set()  # the points this generator's cycles move
+        pos = 0
+        while pos == 0 or pos < len(stripped):  # one or more cycles
+            match = _CYCLE.match(stripped, pos)
+            if match is None:
+                raise ValueError(f"malformed cycle notation: {chunk!r}")
+            pos = match.end()
+            tokens = match[1].split()
+            cycle = []
+            for p in map(int, tokens):
+                if p in seen:  # moved by this cycle or an earlier one
+                    if p in cycle:
+                        raise ValueError("repeated point in cycle"
+                                         f" {list(map(int, tokens))}")
+                    raise ValueError(f"point {p} appears in two cycles")
+                cycle.append(p)
+                if len(tokens) > 1:
+                    seen.add(p)
+                    moved.add(p)
+                    if len(moved) > MAX_MOVED_POINTS:
+                        raise ValueError(f"generators move {len(moved)}"
+                                         f" points, more than"
+                                         f" {MAX_MOVED_POINTS}")
+            if len(cycle) > 1:
+                cycles.append(cycle)
+        gens.append(cycles)
+    label = {p: i for i, p in enumerate(sorted(moved))}
     out = []
     for cycles in gens:
         images = list(range(max(len(moved), 1)))
@@ -67,35 +96,6 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
                 images[label[p]] = label[cycle[(i + 1) % len(cycle)]]
         out.append(tuple(images))
     return tuple(out)
-
-
-def _moving_cycles(cycles: list[list[int]]) -> list[list[int]]:
-    """The cycles of length > 1, after checking that no cycle repeats a
-    point and no point lies in a cycle after one that moves it."""
-    moving = []
-    moved: set[int] = set()
-    for cycle in cycles:
-        if len(set(cycle)) != len(cycle):
-            raise ValueError(f"repeated point in cycle {cycle}")
-        for p in cycle:
-            if p in moved:
-                raise ValueError(f"point {p} appears in two cycles")
-        if len(cycle) > 1:
-            moved.update(cycle)
-            moving.append(cycle)
-    return moving
-
-
-def _parse_cycle_text(text: str) -> list[list[int]]:
-    stripped = text.replace(",", " ").strip()
-    if not re.fullmatch(r"(\s*\([0-9 ]*\)\s*)+", stripped):
-        raise ValueError(f"malformed cycle notation: {text!r}")
-    cycles = []
-    for body in re.findall(r"\(([0-9 ]*)\)", stripped):
-        points = [int(tok) for tok in body.split()]
-        if points:
-            cycles.append(points)
-    return cycles
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import groupcensus.candidates
 from groupcensus import (Candidate, CandidateRow, enumerate_candidates,
-                         euler_phi, integer_partitions, phi_inverse)
-from test_census import is_signature, signature_delta
+                         euler_phi, integer_partitions)
+from test_census import (is_signature, phi_oracle, signature_delta,
+                         totient_sieve)
 
 # enumerate_candidates and explore for delta = 6..16, captured from the
 # trial-division phi_inverse before its replacement
@@ -109,8 +109,15 @@ def test_partitions_shape():
 # for the direct enumeration
 
 
+# phi(d) >= sqrt(d/2), so the sieve holds every d with phi(d) <= 21: the
+# preimages, ascending, of each totient m + 1 a part of at most 20 can use
+PHI = totient_sieve(2 * 21 ** 2)
+PREIMAGES = {m: [d for d, phi in enumerate(PHI) if phi == m]
+             for m in range(2, 22)}
+
+
 def expand_part(p):
-    """All (count, order) readings of one part p of a partition.
+    """All (count, order) readings of one part p <= 20 of a partition.
 
     For every odd divisor m of p and every order d with phi(d) = m + 1 the
     part can stand for p/m cyclic subgroups of order d.
@@ -119,7 +126,7 @@ def expand_part(p):
     for m in range(1, p + 1, 2):
         if p % m:
             continue
-        for d in phi_inverse(m + 1):
+        for d in PREIMAGES[m + 1]:
             options.append((p // m, d))
     return options
 
@@ -260,17 +267,25 @@ def test_candidates_equal_checked_signatures(delta):
     assert len({c.signature for c in cands}) == len(cands)
 
 
-@pytest.mark.parametrize("extra", [[2], [1], [4]])
-def test_orders_checked_once_per_search(monkeypatch, extra):
-    # an order of at most 2, or one listed twice, would emit an entry of
-    # at most 2 or the same signature twice
-    def phi_inverse_with_extra(m):
-        return phi_inverse(m) + extra if m == 2 else phi_inverse(m)
+def test_totient_square_bounds_orders_past_6():
+    # the cut-off of enumerate_candidates' order scan: d <= phi(d)^2
+    phi = totient_sieve(10 ** 5)
+    assert phi[:301] == [0] + [phi_oracle(n) for n in range(1, 301)]
+    assert [n for n in range(1, 7) if phi[n] ** 2 < n] == [2, 6]
+    assert all(phi[n] ** 2 >= n for n in range(7, 10 ** 5 + 1))
 
-    monkeypatch.setattr(groupcensus.candidates, "phi_inverse",
-                        phi_inverse_with_extra)
-    with pytest.raises(ValueError, match="ascend above 2"):
-        enumerate_candidates(3)
+
+@pytest.mark.parametrize("delta", range(1, 17))
+def test_candidate_orders_match_sieve(delta):
+    # phi(d) >= sqrt(d/2), so 2 (delta + 1)^2 bounds every order of weight
+    # phi(d) - 1 <= delta; each one occurs beside delta - weight threes
+    limit = 2 * (delta + 1) ** 2
+    phi = totient_sieve(limit)
+    orders = {d for d in range(3, limit + 1) if phi[d] - 1 <= delta}
+    signatures = {c.signature for c in enumerate_candidates(delta)}
+    assert {d for sig in signatures for d in sig} == orders
+    for d in orders:
+        assert tuple(sorted((d,) + (3,) * (delta - phi[d] + 1))) in signatures
 
 
 def test_delta_out_of_range():

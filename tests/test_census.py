@@ -8,7 +8,6 @@ members.
 """
 
 import math
-import time
 from collections import Counter
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from groupcensus import (CensusReport, census, count_solutions,
                          direct_product, euler_phi, make_cyclic, make_dicyclic,
                          make_dihedral, make_symmetric, parse_group,
-                         phi_inverse, theorem_claims)
+                         theorem_claims)
 
 
 def phi_oracle(n):
@@ -70,21 +69,6 @@ def test_totient_divisor_sum(n):
     assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
 
 
-def test_phi_inverse_known_fibers():
-    assert phi_inverse(1) == [1, 2]
-    assert phi_inverse(2) == [3, 4, 6]
-    assert phi_inverse(4) == [5, 8, 10, 12]
-    assert phi_inverse(6) == [7, 9, 14, 18]
-    assert phi_inverse(3) == []
-    assert phi_inverse(5) == []
-
-
-def test_phi_inverse_against_wide_scan():
-    for m in range(1, 13):
-        brute = [d for d in range(1, 8 * m * m) if phi_oracle(d) == m]
-        assert phi_inverse(m) == brute
-
-
 def totient_sieve(limit):
     """phi(d) for every d <= limit, by sieving out each prime factor."""
     phi = list(range(limit + 1))
@@ -93,28 +77,6 @@ def totient_sieve(limit):
             for k in range(p, limit + 1, p):
                 phi[k] -= phi[k] // p
     return phi
-
-
-def test_phi_inverse_against_scan_up_to_120():
-    # the former implementation: phi(d) >= sqrt(d/2), so scanning
-    # d <= 2 m^2 finds every preimage of m
-    phi = totient_sieve(2 * 120 * 120)
-    fibers = {}
-    for d in range(1, len(phi)):
-        fibers.setdefault(phi[d], []).append(d)
-    for m in range(1, 121):
-        assert phi_inverse(m) == fibers.get(m, []), m
-    # phi(d) = 1000 forces d <= 2 * 10^6, so d has at most seven distinct
-    # primes and d / phi(d) <= (2/1)(3/2)(5/4)(7/6)(11/10)(13/12)(17/16)
-    # < 6: the whole fiber of 1000 lies inside the sieve as well
-    assert phi_inverse(1000) == fibers[1000]
-
-
-def test_phi_inverse_of_1000_is_fast():
-    start = time.perf_counter()
-    found = phi_inverse(1000)
-    assert time.perf_counter() - start < 1.0
-    assert found and all(euler_phi(d) == 1000 for d in found)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,20 @@ def test_analyze_perm_moved_points_are_capped(capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cycles", [
+    "(" + " ".join(map(str, range(400_000))) + ")",  # 2.7 MB
+    "".join(f"({2 * i} {2 * i + 1})" for i in range(200_000)),  # 2.9 MB
+], ids=["one-cycle", "transpositions"])
+def test_analyze_perm_cap_stops_at_the_first_point_past_it(capsys, cycles):
+    # the cap applies at the 4,097th moved point, so neither text is read
+    # past it and the error names 4,097 points, not all 400,000
+    start = time.perf_counter()
+    assert run_cli("analyze", f"perm[{cycles}]") == (2, "")
+    assert time.perf_counter() - start < 0.5
+    assert "generators move 4097 points, more than 4096" in (
+        capsys.readouterr().err)
+
+
 def test_analyze_parse_error_is_usage_error():
     for expr in ("C100", "notagroup", "C" + "9" * 5000, "C4xC4xC4xC4"):
         code, _ = run_cli("analyze", expr)
