@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from math import gcd
 from operator import itemgetter
 
 MAX_ORDER = 64
@@ -54,7 +55,8 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     are skipped, so a blank text gives no generators.  Each point is
     checked as it is read, and the first to take the generators past
     ``MAX_MOVED_POINTS`` moved points raises ValueError, with no later
-    point read.
+    point converted; only the first ``MAX_MOVED_POINTS + 1`` points of
+    a cycle are split off, so the rest of a longer one stays one string.
     """
     gens = []
     moved: set[int] = set()
@@ -68,13 +70,15 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
             if match is None:
                 raise ValueError(f"malformed cycle notation: {chunk!r}")
             pos = match.end()
-            tokens = match[1].split()
+            tokens = match[1].split(None, MAX_MOVED_POINTS + 1)
             cycle = []
             for p in map(int, tokens):
                 if p in seen:  # moved by this cycle or an earlier one
                     if p in cycle:
+                        read = tokens[:MAX_MOVED_POINTS + 1]
+                        more = " ..." if len(tokens) > len(read) else ""
                         raise ValueError("repeated point in cycle"
-                                         f" {list(map(int, tokens))}")
+                                         f" {list(map(int, read))}{more}")
                     raise ValueError(f"point {p} appears in two cycles")
                 cycle.append(p)
                 if len(tokens) > 1:
@@ -153,14 +157,27 @@ class GroupTable:
         """Order of every element, indexed by element: the least k >= 1
         with x^k = 0, which divides the group order."""
         if self._orders is None:
+            # one walk x, x^2, ... to the identity per cyclic subgroup: it
+            # gives x order k and each power x^j order k / gcd(j, k), so an
+            # element that a walk reached needs none of its own.  The table
+            # is a group, so every walk ends.  An involution needs no walk.
             product = self.product
-            orders = [1]
+            orders = [0] * self.order
+            orders[0] = 1
             for x in range(1, self.order):
-                acc, k = x, 1
+                if orders[x]:
+                    continue
+                acc = product[x][x]
+                if not acc:
+                    orders[x] = 2
+                    continue
+                powers = [x]
                 while acc:
+                    powers.append(acc)
                     acc = product[acc][x]
-                    k += 1
-                orders.append(k)
+                k = len(powers) + 1
+                for j, y in enumerate(powers, 1):
+                    orders[y] = k // gcd(j, k)
             self._orders = tuple(orders)
         return self._orders
 
@@ -197,7 +214,9 @@ def _validate_table(rows: tuple[bytes, ...], n: int,
         inverse = bytes(map(bytes.find, rows, _ZEROS))
     except ValueError:
         inverse = b""
-    if (len(inverse) == n and set(map(len, rows)) == {n} and max(flat) < n
+    # deleting every byte below n from flat leaves nothing
+    if (len(inverse) == n and set(map(len, rows)) == {n}
+            and not flat.translate(None, ident)
             and rows[0] == ident == flat[::n]):
         gens = _light_generators(rows, n)
         if _light_pair(rows, gens) is None:

@@ -1,9 +1,12 @@
 """Group-table constructors and element-level operations."""
 
+import functools
 import itertools
 import random
 import re
+import time
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +420,22 @@ def test_validator_matches_sorted_rows_oracle():
             message = f"row {x} has length {n - 1}, expected {n}"
             assert verdict(sorted_rows_validator, rows) == message
             assert verdict(groups._validate_table, rows) == message
+
+
+@pytest.mark.parametrize("entry", [64, 255])
+@pytest.mark.parametrize("cell", [(0, 0), (63, 63), (1, 1)],
+                         ids=["first-byte", "last-byte", "closure-read"])
+def test_range_scan_matches_sorted_rows_oracle(entry, cell):
+    # an entry of 64 or more at the first or the last byte of the joined
+    # rows of an order-64 table, or where the Light closure of C64 reads
+    # it (x = s = 1): the range scan deletes every byte below 64, and the
+    # one left over rejects the table before the closure indexes by it
+    rows = [bytearray(row) for row in make_cyclic(64).product]
+    rows[cell[0]][cell[1]] = entry
+    rows = tuple(map(bytes, rows))
+    message = f"row {cell[0]} is not a permutation of 0..63"
+    assert verdict(sorted_rows_validator, rows) == message
+    assert verdict(groups._validate_table, rows) == message
 
 
 def test_validator_accepts_and_returns_inverses(sample):
@@ -1020,6 +1039,49 @@ def test_element_order():
         assert parse_group(name).element_orders()[0] == 1
 
 
+def element_orders_oracle(g):
+    """``GroupTable.element_orders`` as it was: every element walked to
+    the identity."""
+    orders = [1]
+    for x in range(1, g.order):
+        acc, k = x, 1
+        while acc:
+            acc = g.product[acc][x]
+            k += 1
+        orders.append(k)
+    return tuple(orders)
+
+
+def family_tables():
+    """Every C, D, Q and SD table of order at most 64."""
+    yield from map(make_cyclic, range(1, MAX_ORDER + 1))
+    yield from map(make_dihedral, range(2, MAX_ORDER + 1, 2))
+    yield from map(make_dicyclic, range(8, MAX_ORDER + 1, 4))
+    yield from map(make_quasidihedral, (16, 32, 64))
+
+
+def seeded_products(seed, count):
+    """Direct products of two or three family tables, of order <= 64."""
+    rnd = random.Random(seed)
+    small = [t for t in family_tables() if t.order <= 16]
+    made = 0
+    while made < count:
+        factors = rnd.sample(small, rnd.choice((2, 3)))
+        if prod(t.order for t in factors) <= MAX_ORDER:
+            made += 1
+            yield functools.reduce(direct_product, factors)
+
+
+def test_power_walk_matches_oracle(catalog):
+    # one power walk per cyclic subgroup gives the orders that walking
+    # every element gives
+    tables = [g for _entry, g, _report in catalog]
+    assert len(tables) == 74
+    tables += [*family_tables(), *seeded_products(29, 60)]
+    for g in tables:
+        assert g.element_orders() == element_orders_oracle(g), g.name
+
+
 def test_generated_subgroup():
     g = make_symmetric(4)
     assert generated_subgroup(g, []) == (0,)
@@ -1086,6 +1148,33 @@ def test_permutation_parsing():
         parse_generators("(0 1)(1 2)")
     with pytest.raises(ValueError):
         parse_generators("(0 0)")
+
+
+def test_long_cycle_is_read_only_up_to_the_cap():
+    # a cycle is split into at most MAX_MOVED_POINTS + 1 tokens; the rest of
+    # a longer cycle is never converted, and a repeated point names the
+    # points read, not all of them.  The messages fail when the whole cycle
+    # is split; the time bound, far above the 2.7 MB text's ~12 ms, only
+    # catches a gross slowdown.
+    cap = groups.MAX_MOVED_POINTS
+    points = list(range(400_000))
+    text = "perm[(" + " ".join(map(str, points)) + ")]"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^generators move {cap + 1} "):
+        parse_group(text)
+    assert time.perf_counter() - start < 1.0
+    points[2] = 0
+    with pytest.raises(ValueError) as err:
+        parse_generators("(" + " ".join(map(str, points)) + ")")
+    assert str(err.value) == (f"repeated point in cycle {points[:cap + 1]}"
+                              " ...")
+    with pytest.raises(ValueError, match=r"^point 1 appears in two cycles$"):
+        parse_generators("(1 2)(" + " ".join(map(str, points)) + ")")
+    # a cycle of cap + 1 points is split whole, and its message lists them
+    short = points[:cap + 1]
+    with pytest.raises(ValueError) as err:
+        parse_generators("(" + " ".join(map(str, short)) + ")")
+    assert str(err.value) == f"repeated point in cycle {short}"
 
 
 def cycle_string(images):
