@@ -44,15 +44,6 @@ class CensusReport(namedtuple("CensusReport", "group_order n_d total_cyclic"
     def count(self, d: int) -> int:
         return dict(self.n_d).get(d, 0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.group_order,
-            "n_d": {str(d): count for d, count in self.n_d},
-            "cyclic_count": self.total_cyclic,
-            "delta": self.delta,
-            "sigma": list(self.signature),
-        }
-
 
 def census(g: GroupTable) -> CensusReport:
     """Full cyclic-subgroup census of a group table.

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from .candidates import Candidate, enumerate_candidates, integer_partitions
 from .catalog import MAX_CATALOG_ORDER, catalog_search, catalog_validate
-from .census import census
+from .census import CensusReport, census
 from .exclusion import apply_rules
 from .verify import explore, known_groups_for, verify_all, verify_theorem
 
@@ -44,10 +44,11 @@ def _emit_json(stream, payload) -> None:
 
     The standard library's C encoder serves only ``indent=None``; with an
     indent every value goes through its pure-Python encoder.  The payloads
-    here hold only dicts with string keys, lists, strings, ints, booleans
-    and None, so the indented layout is written directly, with the C string
-    encoder for every string.  The ints of a list, the bulk of every
-    payload, are written in the list's one join rather than by a call
+    here hold only dicts with string keys, lists, tuples (written as
+    arrays, as ``json.dumps`` writes them), strings, ints, booleans and
+    None, so the indented layout is written directly, with the C string
+    encoder for every string.  The ints of an array, the bulk of every
+    payload, are written in the array's one join rather than by a call
     each.  json is imported here, not at start-up, because only
     ``--format json`` needs it.
     """
@@ -64,7 +65,7 @@ def _emit_json(stream, payload) -> None:
         if kind is bool:
             return "true" if value else "false"
         inner = indent + "  "
-        if kind is list:
+        if kind is list or kind is tuple:
             if not value:
                 return "[]"
             body = (",\n" + inner).join([
@@ -81,6 +82,14 @@ def _emit_json(stream, payload) -> None:
     _emit(stream, encode(payload, ""))
 
 
+def _census_json(report: CensusReport) -> dict:
+    """The JSON of a census, as ``analyze`` and ``catalog`` write it."""
+    return {"order": report.group_order,
+            "n_d": {str(d): count for d, count in report.n_d},
+            "cyclic_count": report.total_cyclic, "delta": report.delta,
+            "sigma": report.signature}
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -95,8 +104,7 @@ def _cmd_analyze(args, out) -> int:
         return USAGE_ERROR
     report = census(table)
     if args.format == "json":
-        payload = {"group": table.name, "census": report.to_json_dict()}
-        _emit_json(out, payload)
+        _emit_json(out, {"group": table.name, "census": _census_json(report)})
         return 0
     _emit(out, f"group: {table.name}")
     _emit(out, f"order: {report.group_order}")
@@ -155,9 +163,9 @@ def _cmd_candidates(args, out) -> int:
             "count": len(cands),
             "candidates": [
                 {
-                    "signature": list(c.signature),
-                    "rows": [{"partition": list(r.partition),
-                              "factorization": [list(f) for f in r.factorization]}
+                    "signature": c.signature,
+                    "rows": [{"partition": r.partition,
+                              "factorization": r.factorization}
                              for r in c.rows],
                 }
                 for c in cands
@@ -186,14 +194,14 @@ def _cmd_exclude(args, out) -> int:
     if args.format == "json":
         payload = {
             "delta": args.delta,
-            "candidates": [list(c.signature) for c in cands],
+            "candidates": [c.signature for c in cands],
             "exclusions": [
-                {"signature": list(v.signature),
-                 "rules": list(v.fired_rules),
+                {"signature": v.signature,
+                 "rules": v.fired_rules,
                  "recorded_rule": v.recorded_rule}
                 for v in excluded
             ],
-            "survivors": [list(s) for s in survivors],
+            "survivors": survivors,
             "counts": {"candidates": len(cands), "excluded": len(excluded),
                        "survivors": len(survivors)},
         }
@@ -247,7 +255,17 @@ def _cmd_verify(args, out) -> int:
         report = verify_theorem(args.delta)
         report.merge(catalog_validate())
     if args.format == "json":
-        _emit_json(out, report.to_json_dict())
+        payload = {"claims": [
+            {"delta": c.delta, "label": c.label, "order": c.order,
+             "delta_computed": c.delta_computed,
+             "sigma_computed": c.sigma_computed, "pass": c.passed,
+             "detail": c.detail} for c in report.claims]}
+        for key, checks in (("sweep", report.sweep),
+                            ("properties", report.properties)):
+            payload[key] = [{"name": c.name, "pass": c.passed,
+                             "detail": c.detail} for c in checks]
+        payload["pass"] = report.passed
+        _emit_json(out, payload)
     else:
         for claim in report.claims:
             status = "ok" if claim.passed else "FAIL"
@@ -283,7 +301,7 @@ def _cmd_catalog(args, out) -> int:
         return USAGE_ERROR
     if args.format == "json":
         payload = [{"order": e.order, "index": e.index, "label": e.label,
-                    "census": r.to_json_dict()} for e, r in hits]
+                    "census": _census_json(r)} for e, r in hits]
         _emit_json(out, payload)
         return 0
     for entry, report in hits:
@@ -301,8 +319,11 @@ def _cmd_catalog(args, out) -> int:
 def _cmd_explore(args, out) -> int:
     survivors = explore(args.delta)
     if args.format == "json":
-        payload = {"delta": args.delta,
-                   "survivors": [s.to_json_dict() for s in survivors]}
+        payload = {"delta": args.delta, "survivors": [
+            {"signature": s.signature,
+             "witnesses": [{"label": e.label, "order": e.order,
+                            "delta": r.delta} for e, r in s.witnesses],
+             "known_groups": s.known} for s in survivors]}
         _emit_json(out, payload)
         return 0
     _emit(out, f"delta = {args.delta}: {len(survivors)} surviving signatures")

@@ -31,7 +31,7 @@ class GroupExpressionError(ValueError):
         self.position = position
 
 
-_NAME = re.compile(r"(SD|C|D|Q|S|A)(\d+)")
+_NAME = re.compile(r"(SD|C|D|Q|S|A)([0-9]+)")
 
 _CONSTRUCTORS = {
     "C": make_cyclic,

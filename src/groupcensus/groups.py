@@ -75,10 +75,9 @@ def parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
             for p in map(int, tokens):
                 if p in seen:  # moved by this cycle or an earlier one
                     if p in cycle:
-                        read = tokens[:MAX_MOVED_POINTS + 1]
-                        more = " ..." if len(tokens) > len(read) else ""
-                        raise ValueError("repeated point in cycle"
-                                         f" {list(map(int, read))}{more}")
+                        raise ValueError(f"repeated point {p}: entries"
+                                         f" {cycle.index(p)} and {len(cycle)}"
+                                         " of one cycle")
                     raise ValueError(f"point {p} appears in two cycles")
                 cycle.append(p)
                 if len(tokens) > 1:

@@ -11,26 +11,12 @@ class CheckResult(namedtuple("CheckResult", "name passed detail",
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail}
-
 
 class ClaimResult(namedtuple("ClaimResult", "delta label order delta_computed"
                              " sigma_computed passed detail", defaults=("",))):
     """Outcome of constructing one claimed group and checking its census."""
 
     __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "label": self.label,
-            "order": self.order,
-            "delta_computed": self.delta_computed,
-            "sigma_computed": list(self.sigma_computed),
-            "pass": self.passed,
-            "detail": self.detail,
-        }
 
 
 class VerificationReport:
@@ -62,11 +48,3 @@ class VerificationReport:
         out.extend(f"{c.name}: {c.detail}" for c in self.sweep if not c.passed)
         out.extend(f"{c.name}: {c.detail}" for c in self.properties if not c.passed)
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claims": [c.to_json_dict() for c in self.claims],
-            "sweep": [c.to_json_dict() for c in self.sweep],
-            "properties": [c.to_json_dict() for c in self.properties],
-            "pass": self.passed,
-        }

@@ -415,15 +415,6 @@ class SurvivorReport(namedtuple("SurvivorReport",
     # proven-complete list, or None
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": list(self.signature),
-            "witnesses": [{"label": e.label, "order": e.order,
-                           "delta": r.delta}
-                          for e, r in self.witnesses],
-            "known_groups": list(self.known) if self.known is not None else None,
-        }
-
 
 def explore(delta: int) -> list[SurvivorReport]:
     """Surviving signatures for a delta, with catalog witnesses.

@@ -7,6 +7,8 @@ cross-checked against an independent oracle, the set-based
 members.
 """
 
+import io
+import json
 import math
 from collections import Counter
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcensus import (CensusReport, census, count_solutions,
+from groupcensus import (CensusReport, census, cli, count_solutions,
                          direct_product, euler_phi, make_cyclic, make_dicyclic,
                          make_dihedral, make_symmetric, parse_group,
                          theorem_claims)
@@ -156,8 +158,11 @@ def test_single_and_double_entry_families():
 
 
 def test_census_json_keys():
-    payload = census(make_dicyclic(8)).to_json_dict()
-    assert payload == {
+    # the JSON of a census is built by the CLI; Q8 is make_dicyclic(8)
+    out = io.StringIO()
+    assert cli.run(["analyze", "Q8", "--format", "json"], out=out) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["census"] == {
         "order": 8,
         "n_d": {"1": 1, "2": 1, "4": 3},
         "cyclic_count": 5,

@@ -112,6 +112,15 @@ def test_analyze_parse_error_is_usage_error():
         assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["C\uff16", "D\u0668"])
+def test_analyze_size_takes_ascii_digits_only(expr, capsys):
+    # a fullwidth 6 or an Arabic-Indic 8 is no size, as it is no perm[...]
+    # point: one error line and exit 2, not the census of C6 or D8
+    assert run_cli("analyze", expr) == (2, "")
+    assert capsys.readouterr().err == ("error: expected a group name, sd(...)"
+                                       " or perm[...] (at position 0)\n")
+
+
 def test_candidates_counts():
     for delta, expected in [(1, 3), (4, 27), (5, 49)]:
         code, payload = run_json("candidates", "--delta", str(delta))
@@ -497,13 +506,88 @@ def test_catalog_forms_keep_their_bytes(args, fmt):
         CATALOG_DIGESTS[args, fmt]
 
 
+# sha256 of the --format json output of verify, explore and analyze,
+# captured while the result records still built their own JSON
+JSON_DIGESTS = {
+    ("verify", "--all"):
+        "87278c11e9effb7cbfe273e26af77ce7f4e2096877d55cb204c625ef763817e2",
+    ("verify", "--delta", "1"):
+        "01cf34be8cd9b7f531f55e8cb3a16fddc125d25d7b76f0dccad29cee41758ff9",
+    ("verify", "--delta", "2"):
+        "23de30a866c83025f5c95bd6375fddb7e6b89b2e4b30c5df931082b4ae7ec8aa",
+    ("verify", "--delta", "3"):
+        "07f9e6e94bb19a97288ab8d3c2f9eec1ea80ad4ded039147519f1d1ff2d7f23b",
+    ("verify", "--delta", "4"):
+        "a25c26bb7509dcf1900045d73bdab02e2b7c02a091c961e0b56f19e4a5c37161",
+    ("verify", "--delta", "5"):
+        "2ec84304d48dc11e9572241724eb58f2ad4a76a89220e6b3285db04e29542763",
+    ("explore", "--delta", "1"):
+        "9150cd697732d8de9c971749aaca1b4d43409817ef6c502a3d5413d91d8e5891",
+    ("explore", "--delta", "2"):
+        "1f25d47752ee70e61570f05891a3f95d7598fedbbb7bc990a07451b9375a2e98",
+    ("explore", "--delta", "3"):
+        "2336358a7461e50f9f79500e6698f0c071aac309f48a8728965cc1d07e8f1f7d",
+    ("explore", "--delta", "4"):
+        "ca58b15b3207ea752d8b17fab5ddd86f4a3ec395f92a433b64a427396771dec5",
+    ("explore", "--delta", "5"):
+        "199ef3ed1a3f50c743db6231ff38897656d628bb3d1c49bdbb7a698e2cd84153",
+    ("explore", "--delta", "6"):
+        "77b072afc544db0f449d04ac3444d31ca6dd3ff6e6b4a266ccdfec1ecd39dd1f",
+    ("explore", "--delta", "7"):
+        "36c1b774ddd9310bbb6588abb219451f0d128ca0cb1f9dafa13828ae6205fcea",
+    ("explore", "--delta", "8"):
+        "d6e7775e66d267ceb1676aac763b9034184d47923266d1c3ad2113e602b7e7e4",
+    ("explore", "--delta", "9"):
+        "218016cb322c63d189be3b0cbdc315329ee064c191ce074df3868b6d6aecab3a",
+    ("explore", "--delta", "10"):
+        "be944ff4cd17004240aad8f04889e4df213f8d28825d928438402acc7bfc000c",
+    ("explore", "--delta", "11"):
+        "d1b870ccd36e95d02996dc8dd36892ac758c5f5d03cf62adae7be7a2706507d9",
+    ("explore", "--delta", "12"):
+        "3244d2dde62a93f6a3fcd5abc6a5bcce0eca9885e9d685a71ff9f78388889528",
+    ("explore", "--delta", "13"):
+        "4ad66abbc1d3ce737d64b9c4c1d4ed6fe0fe50b5b5bb648a1683833974d389e6",
+    ("explore", "--delta", "14"):
+        "a3ab52ca3f443648f398870478d94d7b5a2ec2dab42ae53afe468bc137baaa70",
+    ("explore", "--delta", "15"):
+        "0f4e35357ae0b8dff198e39b66a2371c942f1642212356dc60a3abccbb863447",
+    ("explore", "--delta", "16"):
+        "89f227ee642297180ececd0679420673df8352e286e6b3ff7d678ba5517a0a3b",
+    ("analyze", "C1"):
+        "0188240a13b68c24b4f61529db694fc3d52a95f7e20a4ffaa3eabfa2f30de54c",
+    ("analyze", "Q8"):
+        "90f21ede29d15c5608e8685ea6c96f486f315cdff9b2400530bc917fb0bc3ee5",
+    ("analyze", "D8 x C2"):
+        "743547c9dd7f816d292e0b208399f46c3dc7d2ce7828eae013bcecba3fb4bb39",
+    ("analyze", "sd(C3xC3, C2, inv)"):
+        "e2e765da086a5d6026b67faaa37af7c85da9fae92cb46576e6d6637af221b1af",
+    ("analyze", "perm[(0 1 2)(3 4)]"):
+        "4313d33e081d56f5a35706553fd474274c10470d0ba35b5e04b88db210de6405",
+    ("analyze", "S4"):
+        "cfc41510888096faf7f34076ae250381d9f72c06f5da0738f8a2fa4cee5d069e",
+    ("analyze", "A4 x C2"):
+        "b7674a9a2013bab6e88a922d9a8d2e730b3826aacf221100124d9367f69779c5",
+    ("analyze", "C64"):
+        "64e068ab6c2c6b118f589f103a09ba493f20ba05d3391090b244754152e3503b",
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_DIGESTS))
+def test_json_forms_keep_their_bytes(argv):
+    code, text = run_cli(*argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_DIGESTS[argv]
+
+
 def test_json_writer_matches_the_standard_encoder():
     payload = {"ints": [0, -7, 10 ** 30], "empty": [], "none": {},
                "flags": [True, False, None],
                "text": ["plain", "quote \" and \\", "tab\tline\n",
                         "caf\u00e9 \u2200", ""],
                "nested": [[[]], [{"a": [1, {"b": None}]}]],
-               "mixed": [1, True, None, "x", [2], 3]}
+               "mixed": [1, True, None, "x", [2], 3],
+               "tuples": [(), ((), (1, (2, 3))), {"t": (4, "y", None)},
+                          [(5,), [()]]]}
     out = io.StringIO()
     cli._emit_json(out, payload)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"

@@ -1152,10 +1152,10 @@ def test_permutation_parsing():
 
 def test_long_cycle_is_read_only_up_to_the_cap():
     # a cycle is split into at most MAX_MOVED_POINTS + 1 tokens; the rest of
-    # a longer cycle is never converted, and a repeated point names the
-    # points read, not all of them.  The messages fail when the whole cycle
-    # is split; the time bound, far above the 2.7 MB text's ~12 ms, only
-    # catches a gross slowdown.
+    # a longer cycle is never converted, and a repeated point is named with
+    # its two positions in one short line, whatever the cycle's length.  The
+    # time bound, far above the 2.7 MB text's ~12 ms, only catches a gross
+    # slowdown.
     cap = groups.MAX_MOVED_POINTS
     points = list(range(400_000))
     text = "perm[(" + " ".join(map(str, points)) + ")]"
@@ -1166,15 +1166,21 @@ def test_long_cycle_is_read_only_up_to_the_cap():
     points[2] = 0
     with pytest.raises(ValueError) as err:
         parse_generators("(" + " ".join(map(str, points)) + ")")
-    assert str(err.value) == (f"repeated point in cycle {points[:cap + 1]}"
-                              " ...")
+    message = "repeated point 0: entries 0 and 2 of one cycle"
+    assert str(err.value) == message and len(message) < 100
     with pytest.raises(ValueError, match=r"^point 1 appears in two cycles$"):
         parse_generators("(1 2)(" + " ".join(map(str, points)) + ")")
-    # a cycle of cap + 1 points is split whole, and its message lists them
+    # a cycle of cap + 1 points is split whole, and its message is the same
     short = points[:cap + 1]
     with pytest.raises(ValueError) as err:
         parse_generators("(" + " ".join(map(str, short)) + ")")
-    assert str(err.value) == f"repeated point in cycle {short}"
+    assert str(err.value) == message
+    # a repeat at the last point split off is named by the same one line
+    deep = list(range(cap)) + [7] + list(range(cap, 400_000))
+    with pytest.raises(ValueError) as err:
+        parse_generators("(" + " ".join(map(str, deep)) + ")")
+    assert str(err.value) == f"repeated point 7: entries 7 and {cap} of one cycle"
+    assert len(str(err.value)) < 100
 
 
 def cycle_string(images):

@@ -1,12 +1,15 @@
 """The classification claims, the exhaustive sweeps and the property suite."""
 
+import io
+import json
+
 import pytest
 from test_candidates import PINNED
 
 import groupcensus.catalog
 import groupcensus.verify
 from groupcensus import (CatalogError, SurvivorReport, catalog_tables,
-                         catalog_validate, census, explore, is_isomorphic,
+                         catalog_validate, census, cli, explore, is_isomorphic,
                          known_groups_for, parse_group, property_suite,
                          revised_table, theorem_claims, verify_all,
                          verify_theorem)
@@ -124,7 +127,9 @@ def test_verify_all():
     report = verify_all()
     assert report.passed, report.failures()
     assert len(report.claims) == 25
-    payload = report.to_json_dict()
+    out = io.StringIO()
+    assert cli.run(["verify", "--all", "--format", "json"], out=out) == 0
+    payload = json.loads(out.getvalue())
     assert set(payload) == {"claims", "sweep", "properties", "pass"}
     assert payload["pass"] is True
 
